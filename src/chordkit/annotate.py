@@ -135,27 +135,29 @@ def transpose_annotation(ann: Annotation, k: int) -> Annotation:
     return Annotation(segments=segments, duration=ann.duration)
 
 
-def frame_labels(ann: Annotation, grid: FrameGrid, vocab: Vocabulary) -> np.ndarray:
-    """ChordId per frame, decided by the segment containing the frame center."""
-    ids = np.full(grid.n_frames, vocab.n_id, dtype=np.int64)
+def segment_index(ann: Annotation, times) -> np.ndarray:
+    """Index of the segment whose half-open [start, end) holds each time;
+    -1 where no segment does."""
+    times = np.asarray(times, dtype=np.float64)
+    idx = np.full(len(times), -1, dtype=np.int64)
     if not ann.segments:
-        return ids
+        return idx
     starts = np.array([s for s, _, _ in ann.segments])
     ends = np.array([e for _, e, _ in ann.segments])
-    seg_ids = np.array([map_label(lbl, vocab) for _, _, lbl in ann.segments])
-    centers = grid.centers()
-    # index of the last segment whose start <= center
-    idx = np.searchsorted(starts, centers, side="right") - 1
-    valid = idx >= 0
-    inside = np.zeros(grid.n_frames, dtype=bool)
-    inside[valid] = centers[valid] < ends[idx[valid]]
-    ids[inside] = seg_ids[idx[inside]]
-    return ids
+    # the last segment starting at or before t holds t if it has not ended
+    last = np.searchsorted(starts, times, side="right") - 1
+    inside = last >= 0
+    inside[inside] = times[inside] < ends[last[inside]]
+    idx[inside] = last[inside]
+    return idx
 
 
-def frame_label_objects(ann: Annotation, grid: FrameGrid) -> list[ChordLabel]:
-    """ChordLabel per frame center (N for uncovered frames)."""
-    return [ann.label_at(t) for t in grid.centers()]
+def frame_labels(ann: Annotation, grid: FrameGrid, vocab: Vocabulary) -> np.ndarray:
+    """ChordId per frame, decided by the segment containing the frame center."""
+    # one id per segment, then N for frames outside every segment (index -1)
+    seg_ids = np.array([map_label(lbl, vocab) for _, _, lbl in ann.segments] + [vocab.n_id],
+                       dtype=np.int64)
+    return seg_ids[segment_index(ann, grid.centers())]
 
 
 def interval_labels(ann: Annotation, intervals, vocab: Vocabulary) -> np.ndarray:

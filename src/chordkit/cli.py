@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, annotate, decode, features, metrics, model, synthgen
-from .errors import ChordkitError
+from .errors import ChordkitError, VocabularyMismatch
 from .harte import format_chord
 from .metrics import MetricKind
 from .vocab import get_vocabulary, id_label, map_label
@@ -137,6 +137,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     vocab = get_vocabulary(args.vocab)
     params = model.load_checkpoint(args.model)
+    model.check_vocabulary(params, vocab)
     feat = features.load_features(args.features)
     if args.beat_file or args.beat_division == "perfect":
         if args.beat_division == "perfect":
@@ -174,6 +175,9 @@ def cmd_predict(args) -> int:
 def cmd_smooth(args) -> int:
     vocab = get_vocabulary(args.vocab)
     post = np.load(args.post)
+    if post.ndim != 2 or post.shape[1] != vocab.size:
+        raise VocabularyMismatch(
+            f"posteriors have shape {post.shape}; expected {vocab.size} columns")
     cfg = decode.DecoderConfig(beta=args.beta, n_classes=post.shape[1],
                                mode="max_marginal" if args.max_marginal else "viterbi")
     ids = decode.viterbi_smooth(post, cfg)

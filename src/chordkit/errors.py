@@ -77,6 +77,14 @@ class EmptyDataset(ChordkitError):
     pass
 
 
+class BadCheckpoint(ChordkitError):
+    pass
+
+
+class VocabularyMismatch(ChordkitError):
+    pass
+
+
 class NonFiniteLoss(ChordkitError):
     def __init__(self, epoch):
         super().__init__(f"loss became non-finite at epoch {epoch}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import harte
-from .annotate import Annotation, FrameGrid
+from .annotate import Annotation, FrameGrid, segment_index
 from .errors import BadBinConfig, BadMagic, EmptyBeatList, TruncatedPayload, VersionMismatch
 
 MAGIC = b"CQTF"
@@ -74,11 +74,6 @@ def load_features(path) -> FeatureMatrix:
     return FeatureMatrix(data=data, hop=hop, bins_per_octave=bpo, floor_db=floor_db)
 
 
-def frame_times(grid: FrameGrid) -> list[tuple[float, float]]:
-    """(start, end) seconds of each frame."""
-    return [(i * grid.hop, (i + 1) * grid.hop) for i in range(grid.n_frames)]
-
-
 def bin_pitch_classes(n_bins: int, bins_per_octave: int) -> np.ndarray:
     """Pitch class of each CQT bin, with bin 0 at C1 (pitch class 0)."""
     if bins_per_octave % 12 != 0:
@@ -116,21 +111,14 @@ def render_synthetic_cqt(ann: Annotation, grid: FrameGrid,
     pcs = semitones % 12
     octaves = semitones // 12
 
-    # one row template per pitch-class set encountered
-    data = np.full((grid.n_frames, params.n_bins), params.floor_db, dtype=np.float32)
-    labels = [ann.label_at(t) for t in grid.centers()]
-    row_cache: dict[frozenset, np.ndarray] = {}
-    for i, label in enumerate(labels):
-        if not label.is_chord():
-            continue
-        active = harte.pitch_class_set(label)
-        row = row_cache.get(active)
-        if row is None:
-            row = np.full(params.n_bins, params.floor_db, dtype=np.float32)
-            mask = np.isin(pcs, list(active))
-            row[mask] = params.peak_db - params.octave_rolloff_db * octaves[mask]
-            row_cache[active] = row
-        data[i] = row
+    # one row per segment, then a floor row for frames outside every segment
+    # (index -1); N and X segments stay at the floor
+    rows = np.full((len(ann.segments) + 1, params.n_bins), params.floor_db, dtype=np.float32)
+    for seg, (_, _, label) in enumerate(ann.segments):
+        if label.is_chord():
+            mask = np.isin(pcs, list(harte.pitch_class_set(label)))
+            rows[seg, mask] = params.peak_db - params.octave_rolloff_db * octaves[mask]
+    data = rows[segment_index(ann, grid.centers())]
 
     if params.noise_db > 0:
         rng = np.random.default_rng(params.seed)

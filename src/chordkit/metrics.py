@@ -14,16 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, ZeroDefinedTime
-from .harte import PITCH_NAMES, QUALITY_TEMPLATES
-from .vocab import Vocabulary, id_info, id_pitch_classes, vocabulary_26
-
-_THIRD_SLOT = (3, 4, 2, 5)  # checked in this order; min before maj before sus
-_SEVENTH_SLOT = (11, 10, 9)
-_SEVENTH_REF_QUALITIES = {"maj", "min", "maj7", "min7", "7"}
+from .errors import IdOutOfRange, LengthMismatch, ZeroDefinedTime
+from .harte import PITCH_NAMES
+from .vocab import Vocabulary, check_ids
 
 
 class MetricKind(enum.Enum):
+    """A comparator; its value names its table in ``Vocabulary.tables.verdicts``."""
+
     ACC = "acc"
     ROOT = "root"
     THIRD = "third"
@@ -69,135 +67,71 @@ def path_from_annotation(ann, vocab: Vocabulary) -> TimedPath:
     ))
 
 
-def _quality_of(chord_id: int, vocab: Vocabulary):
-    info = id_info(chord_id, vocab)
-    if info in ("N", "X"):
-        return info, None
-    root, quality = info
-    return root, quality
-
-
-def _slot(template, candidates):
-    for semitone in candidates:
-        if semitone in template:
-            return semitone
-    return None
-
-
 def compare_labels(kind: MetricKind, ref: int, est: int, vocab: Vocabulary) -> Verdict:
     """Compare a reference and estimated chord id under one comparator."""
-    if ref == vocab.x_id:
-        return Verdict.UNDEFINED
-
-    if kind is MetricKind.ACC:
-        return Verdict.CORRECT if ref == est else Verdict.INCORRECT
-
-    if kind is MetricKind.MAJMIN:
-        small = vocabulary_26()
-        ref_small = _reduce_id(ref, vocab, small)
-        if ref_small == small.x_id:
-            return Verdict.UNDEFINED
-        est_small = _reduce_id(est, vocab, small)
-        return Verdict.CORRECT if ref_small == est_small else Verdict.INCORRECT
-
-    ref_n = ref == vocab.n_id
-    est_n = est == vocab.n_id
-    if kind is MetricKind.MIREX:
-        if ref_n or est_n:
-            return Verdict.CORRECT if ref_n and est_n else Verdict.INCORRECT
-        if est == vocab.x_id:
-            return Verdict.INCORRECT
-        shared = id_pitch_classes(ref, vocab) & id_pitch_classes(est, vocab)
-        return Verdict.CORRECT if len(shared) >= 3 else Verdict.INCORRECT
-
-    if kind is MetricKind.SEVENTH:
-        if ref_n:
-            return Verdict.CORRECT if est_n else Verdict.INCORRECT
-        ref_root, ref_quality = id_info(ref, vocab)
-        if ref_quality not in _SEVENTH_REF_QUALITIES:
-            return Verdict.UNDEFINED
-        if est >= vocab.n_id:
-            return Verdict.INCORRECT
-        est_root, est_quality = id_info(est, vocab)
-        ref_tpl, est_tpl = QUALITY_TEMPLATES[ref_quality], QUALITY_TEMPLATES[est_quality]
-        same = (ref_root == est_root
-                and _slot(ref_tpl, _THIRD_SLOT) == _slot(est_tpl, _THIRD_SLOT)
-                and _slot(ref_tpl, _SEVENTH_SLOT) == _slot(est_tpl, _SEVENTH_SLOT))
-        return Verdict.CORRECT if same else Verdict.INCORRECT
-
-    if ref_n or est_n or est == vocab.x_id:
-        return Verdict.CORRECT if ref_n and est_n else Verdict.INCORRECT
-    ref_root, ref_quality = id_info(ref, vocab)
-    est_root, est_quality = id_info(est, vocab)
-
-    if kind is MetricKind.ROOT:
-        return Verdict.CORRECT if ref_root == est_root else Verdict.INCORRECT
-
-    if kind is MetricKind.THIRD:
-        same = (ref_root == est_root
-                and _slot(QUALITY_TEMPLATES[ref_quality], _THIRD_SLOT)
-                == _slot(QUALITY_TEMPLATES[est_quality], _THIRD_SLOT))
-        return Verdict.CORRECT if same else Verdict.INCORRECT
-
-    raise ValueError(f"unknown metric kind {kind}")
+    if not (0 <= ref < vocab.size and 0 <= est < vocab.size):
+        raise IdOutOfRange(f"ids ({ref}, {est}) outside [0, {vocab.size})")
+    return Verdict(int(vocab.tables.verdicts[kind.value][ref, est]))
 
 
-def _reduce_id(chord_id: int, large: Vocabulary, small: Vocabulary) -> int:
-    info = id_info(chord_id, large)
-    if info == "N":
-        return small.n_id
-    if info == "X":
-        return small.x_id
-    root, quality = info
-    template = QUALITY_TEMPLATES[quality]
-    if frozenset({0, 4, 7}) <= template:
-        return small.chord_id(root, "maj")
-    if frozenset({0, 3, 7}) <= template:
-        return small.chord_id(root, "min")
-    return small.x_id
+def _columns(path: TimedPath):
+    table = np.array(path.intervals, dtype=np.float64).reshape(-1, 3)
+    return table[:, 0], table[:, 1], table[:, 2].astype(np.int64)
 
 
 def _intersect(ref: TimedPath, est: TimedPath):
-    """Yield (duration, ref_id, est_id) over the common refinement."""
-    edges = sorted({t for s, e, _ in ref.intervals for t in (s, e)}
-                   | {t for s, e, _ in est.intervals for t in (s, e)})
-    ri = ei = 0
-    for start, end in zip(edges, edges[1:]):
-        mid = (start + end) / 2
-        while ri < len(ref.intervals) and ref.intervals[ri][1] <= mid:
-            ri += 1
-        while ei < len(est.intervals) and est.intervals[ei][1] <= mid:
-            ei += 1
-        if ri >= len(ref.intervals) or ei >= len(est.intervals):
-            break
-        if ref.intervals[ri][0] <= mid and est.intervals[ei][0] <= mid:
-            yield end - start, ref.intervals[ri][2], est.intervals[ei][2]
+    """(duration, ref_id, est_id) arrays over the common refinement, in time order.
+
+    Each piece between consecutive interval edges takes the intervals holding
+    its midpoint; a piece in a gap of either path, or past its end, is dropped.
+    """
+    r_start, r_end, r_id = _columns(ref)
+    e_start, e_end, e_id = _columns(est)
+    edges = np.unique(np.concatenate([r_start, r_end, e_start, e_end]))
+    start, end = edges[:-1], edges[1:]
+    mid = (start + end) / 2
+    ri = np.searchsorted(r_end, mid, side="right")
+    ei = np.searchsorted(e_end, mid, side="right")
+    inside = (ri < len(r_end)) & (ei < len(e_end))
+    inside[inside] = (r_start[ri[inside]] <= mid[inside]) & (e_start[ei[inside]] <= mid[inside])
+    return (end - start)[inside], r_id[ri[inside]], e_id[ei[inside]]
+
+
+_NO_PIECES = (np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+
+def _defined_pieces(kind: MetricKind, songs, vocab: Vocabulary):
+    """(duration, ref_id, correct) of every piece where the comparator is
+    defined, all songs in time order."""
+    columns = zip(_NO_PIECES, *(_intersect(ref, est) for ref, est in songs))
+    dur, ref, est = (np.concatenate(column) for column in columns)
+    verdict = vocab.tables.verdicts[kind.value][check_ids(ref, vocab), check_ids(est, vocab)]
+    defined = verdict >= 0
+    return dur[defined], ref[defined], verdict[defined] == 1
+
+
+def _total(durations: np.ndarray) -> float:
+    """Left-to-right sum, the order a running float total adds in."""
+    return float(np.cumsum(durations)[-1]) if len(durations) else 0.0
 
 
 def _accumulate(kind: MetricKind, songs, vocab: Vocabulary):
     """(correct_time, defined_time) overall and per reference class."""
-    correct, defined = 0.0, 0.0
-    per_class: dict[int, list[float]] = {}
-    for ref, est in songs:
-        for dur, r, e in _intersect(ref, est):
-            verdict = compare_labels(kind, r, e, vocab)
-            if verdict is Verdict.UNDEFINED:
-                continue
-            defined += dur
-            bucket = per_class.setdefault(r, [0.0, 0.0])
-            bucket[1] += dur
-            if verdict is Verdict.CORRECT:
-                correct += dur
-                bucket[0] += dur
-    return correct, defined, per_class
+    dur, ref, correct = _defined_pieces(kind, songs, vocab)
+    per_class = {}
+    for c in np.unique(ref):
+        mine = ref == c
+        per_class[int(c)] = [_total(dur[mine & correct]), _total(dur[mine])]
+    return _total(dur[correct]), _total(dur), per_class
 
 
 def wcsr(kind: MetricKind, songs, vocab: Vocabulary) -> float:
     """Weighted chord symbol recall in percent over a list of song pairs."""
-    correct, defined, _ = _accumulate(kind, songs, vocab)
+    dur, _, correct = _defined_pieces(kind, songs, vocab)
+    defined = _total(dur)
     if defined <= 0:
         raise ZeroDefinedTime("comparator undefined everywhere")
-    return 100.0 * correct / defined
+    return 100.0 * _total(dur[correct]) / defined
 
 
 def class_wise_scores(kind: MetricKind, songs, vocab: Vocabulary):
@@ -222,29 +156,19 @@ def root_axis() -> list[str]:
     return list(PITCH_NAMES) + ["N", "X"]
 
 
-def _axis_index(chord_id: int, axis: str, vocab: Vocabulary) -> int:
-    info = id_info(chord_id, vocab)
-    if info == "N":
-        return len(vocab.qualities) if axis == "quality" else 12
-    if info == "X":
-        return len(vocab.qualities) + 1 if axis == "quality" else 13
-    root, quality = info
-    return vocab.quality_index(quality) if axis == "quality" else root
-
-
 def confusion_matrix(axis: str, songs_as_frames, vocab: Vocabulary,
                      row_normalize: bool = False) -> np.ndarray:
     """Confusion matrix over discrete frames along the quality or root axis."""
     if axis not in ("quality", "root"):
         raise ValueError(f"axis must be 'quality' or 'root', got {axis!r}")
     n = len(vocab.qualities) + 2 if axis == "quality" else 14
+    index = vocab.tables.quality if axis == "quality" else vocab.tables.root
     matrix = np.zeros((n, n), dtype=np.float64)
     for ref_ids, est_ids in songs_as_frames:
-        ref_ids, est_ids = np.asarray(ref_ids), np.asarray(est_ids)
+        ref_ids, est_ids = check_ids(ref_ids, vocab), check_ids(est_ids, vocab)
         if ref_ids.shape != est_ids.shape:
             raise LengthMismatch("ref and est frame lists differ in length")
-        for r, e in zip(ref_ids, est_ids):
-            matrix[_axis_index(int(r), axis, vocab), _axis_index(int(e), axis, vocab)] += 1
+        np.add.at(matrix, (index[ref_ids], index[est_ids]), 1)
     if row_normalize:
         sums = matrix.sum(axis=1, keepdims=True)
         nonzero = sums[:, 0] > 0

@@ -26,14 +26,18 @@ import numpy as np
 
 from . import vocab as vocab_mod
 from .annotate import frame_labels
-from .errors import (AllZeroCounts, DimensionMismatch, EmptyDataset,
-                     NonFiniteLoss, TargetOutOfRange)
+from .errors import (AllZeroCounts, BadCheckpoint, DimensionMismatch, EmptyDataset,
+                     NonFiniteLoss, TargetOutOfRange, VocabularyMismatch)
 from .features import FeatureMatrix, pitch_shift_cqt
-from .vocab import Vocabulary, id_info, id_pitch_classes, transpose_id
+from .vocab import Vocabulary, check_ids
 
 N_ROOT_CLASSES = 14  # 12 roots + N + X
 N_PITCH_CLASSES = 12
 SHIFT_CHOICES = (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6)
+WEIGHT_NAMES = {
+    "logistic": ("Wc", "bc", "Wr", "br", "Wp", "bp"),
+    "hidden": ("W1", "b1", "Wr", "br", "Wp", "bp", "W2", "b2"),
+}
 COUNT_GUARD = 10.0
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -113,25 +117,12 @@ def init_params(arch: str, n_bins: int, vocab: Vocabulary, hidden_units: int = 6
 
 def root_targets(ids: np.ndarray, vocab: Vocabulary) -> np.ndarray:
     """14-way root class per chord id (12 = N, 13 = X)."""
-    out = np.empty(len(ids), dtype=np.int64)
-    for i, chord_id in enumerate(ids):
-        info = id_info(int(chord_id), vocab)
-        if info == "N":
-            out[i] = 12
-        elif info == "X":
-            out[i] = 13
-        else:
-            out[i] = info[0]
-    return out
+    return vocab.tables.root[check_ids(ids, vocab)]
 
 
 def pitch_targets(ids: np.ndarray, vocab: Vocabulary) -> np.ndarray:
     """12-dim binary pitch-class membership per chord id (zeros for N/X)."""
-    out = np.zeros((len(ids), N_PITCH_CLASSES))
-    for i, chord_id in enumerate(ids):
-        for p in id_pitch_classes(int(chord_id), vocab):
-            out[i, p] = 1.0
-    return out
+    return vocab.tables.pitch[check_ids(ids, vocab)]
 
 
 # --- class weighting ---
@@ -145,9 +136,10 @@ def expected_counts(counts: np.ndarray, p: float, vocab: Vocabulary) -> np.ndarr
     counts = np.asarray(counts, dtype=np.float64)
     out = counts.copy()
     n_chord = vocab.n_id
-    for c in range(n_chord):
-        spread = sum(counts[transpose_id(c, -k, vocab)] for k in range(12))
-        out[c] = (1.0 - p) * counts[c] + (p / 12.0) * spread
+    spread = np.zeros(n_chord)
+    for k in range(12):  # in this order, so that sums match a running total
+        spread += counts[vocab.tables.shifted[-k % 12, :n_chord]]
+    out[:n_chord] = (1.0 - p) * counts[:n_chord] + (p / 12.0) * spread
     return out
 
 
@@ -238,6 +230,26 @@ def predict_frames(params: ModelParams, feat) -> np.ndarray:
 
 # --- loss ---
 
+def _targets(targets, vocab: Vocabulary):
+    """(chord, root, pitch) targets of a batch, each built once."""
+    targets = check_ids(targets, vocab, TargetOutOfRange)
+    return targets, root_targets(targets, vocab), pitch_targets(targets, vocab)
+
+
+def _loss(outputs, targets, weights: np.ndarray, gamma: float, idx: np.ndarray) -> float:
+    """Structured, class-weighted loss over the frames ``idx``."""
+    post, root_probs, pitch_probs = outputs
+    chord_t, root_t, pitch_t = targets
+    eps = 1e-300
+    w_frame = weights[chord_t[idx]]
+    l_chord = float(np.mean(-w_frame * np.log(post[idx, chord_t[idx]] + eps)))
+    l_root = float(np.mean(-np.log(root_probs[idx, root_t[idx]] + eps)))
+    p_t = pitch_t[idx]
+    pp = np.clip(pitch_probs[idx], 1e-12, 1 - 1e-12)
+    l_pitch = float(np.mean(-(p_t * np.log(pp) + (1 - p_t) * np.log(1 - pp))))
+    return gamma * l_chord + (1.0 - gamma) * (l_root + l_pitch)
+
+
 def total_loss(outputs, targets, weights: np.ndarray, gamma: float,
                vocab: Vocabulary, mask: np.ndarray | None = None) -> float:
     """Structured, class-weighted loss given probability outputs.
@@ -245,30 +257,17 @@ def total_loss(outputs, targets, weights: np.ndarray, gamma: float,
     ``outputs`` is the (posteriors, root_probs, pitch_probs) triple returned
     by :func:`forward`; ``mask`` marks frames included in the loss.
     """
-    post, root_probs, pitch_probs = outputs
-    targets = np.asarray(targets, dtype=np.int64)
-    if np.any(targets < 0) or np.any(targets >= vocab.size):
-        raise TargetOutOfRange("chord id target outside vocabulary")
+    built = _targets(targets, vocab)
     if mask is None:
-        mask = np.ones(len(targets), dtype=bool)
-    idx = np.flatnonzero(mask)
-
-    eps = 1e-300
-    w_frame = weights[targets[idx]]
-    l_chord = float(np.mean(-w_frame * np.log(post[idx, targets[idx]] + eps)))
-    r_t = root_targets(targets[idx], vocab)
-    l_root = float(np.mean(-np.log(root_probs[idx, r_t] + eps)))
-    p_t = pitch_targets(targets[idx], vocab)
-    pp = np.clip(pitch_probs[idx], 1e-12, 1 - 1e-12)
-    l_pitch = float(np.mean(-(p_t * np.log(pp) + (1 - p_t) * np.log(1 - pp))))
-    return gamma * l_chord + (1.0 - gamma) * (l_root + l_pitch)
+        mask = np.ones(len(built[0]), dtype=bool)
+    return _loss(outputs, built, weights, gamma, np.flatnonzero(mask))
 
 
 def loss_and_grads(params: ModelParams, data: np.ndarray, targets: np.ndarray,
                    weights: np.ndarray, gamma: float, vocab: Vocabulary,
                    mask: np.ndarray | None = None):
     """Loss and analytic parameter gradients for one batch of frames."""
-    targets = np.asarray(targets, dtype=np.int64)
+    targets, r_t, p_t = built = _targets(targets, vocab)
     if mask is None:
         mask = np.ones(len(targets), dtype=bool)
     n = int(mask.sum())
@@ -279,9 +278,9 @@ def loss_and_grads(params: ModelParams, data: np.ndarray, targets: np.ndarray,
     post = _softmax(cache["z_chord"])
     root_probs = _softmax(cache["z_root"])
     pitch_probs = _sigmoid(cache["z_pitch"])
-    loss = total_loss((post, root_probs, pitch_probs), targets, weights, gamma, vocab, mask)
-
     idx = np.flatnonzero(mask)
+    loss = _loss((post, root_probs, pitch_probs), built, weights, gamma, idx)
+
     w_frame = np.zeros(len(targets))
     w_frame[idx] = weights[targets[idx]]
 
@@ -290,13 +289,11 @@ def loss_and_grads(params: ModelParams, data: np.ndarray, targets: np.ndarray,
     d_chord *= (gamma / n) * w_frame[:, None]
     d_chord[~mask] = 0.0
 
-    r_t = root_targets(targets, vocab)
     d_root_loss = root_probs.copy()
     d_root_loss[np.arange(len(targets)), r_t] -= 1.0
     d_root_loss *= (1.0 - gamma) / n
     d_root_loss[~mask] = 0.0
 
-    p_t = pitch_targets(targets, vocab)
     d_pitch_loss = (pitch_probs - p_t) * ((1.0 - gamma) / (n * N_PITCH_CLASSES))
     d_pitch_loss[~mask] = 0.0
 
@@ -409,7 +406,7 @@ def train(dataset, val, cfg: TrainConfig, vocab: Vocabulary, arch: str = "logist
                                   bins_per_octave=feat.bins_per_octave,
                                   floor_db=feat.floor_db), k)
                 x = shifted.data
-                y = np.array([transpose_id(int(c), k, vocab) for c in y])
+                y = vocab.tables.shifted[k % 12, y]
             patches.append((x, y))
 
         epoch_loss, n_batches = 0.0, 0
@@ -519,16 +516,47 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta.get("version") != 1:
-            raise ValueError(f"unsupported checkpoint version {meta.get('version')}")
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    Raises BadCheckpoint when the file is a bare array, when the metadata is
+    missing, is not JSON or lacks a field, or when an array the
+    architecture needs is missing.
+    """
+    loaded = np.load(path, allow_pickle=False)
+    if not isinstance(loaded, np.lib.npyio.NpzFile):
+        raise BadCheckpoint(f"{path}: not an .npz archive")
+    with loaded as data:
+        arrays = {key: data[key] for key in data.files}
+    try:
+        meta = json.loads(str(arrays["meta"]))
+    except KeyError:
+        raise BadCheckpoint(f"{path}: no meta record") from None
+    except json.JSONDecodeError as exc:
+        raise BadCheckpoint(f"{path}: meta is not JSON ({exc})") from None
+    if not isinstance(meta, dict) or meta.get("version") != 1:
+        raise BadCheckpoint(f"{path}: unsupported checkpoint version")
+    try:
         params = ModelParams(arch=meta["arch"], n_bins=meta["n_bins"],
                              n_classes=meta["n_classes"],
                              hidden_units=meta["hidden_units"],
                              context=meta["context"], vocab_hash=meta["vocab_hash"])
-        params.mean = data["mean"].astype(np.float64)
-        params.std = data["std"].astype(np.float64)
-        params.weights = {k[2:]: data[k].astype(np.float64)
-                          for k in data.files if k.startswith("w_")}
+        params.mean = arrays["mean"].astype(np.float64)
+        params.std = arrays["std"].astype(np.float64)
+    except KeyError as exc:
+        raise BadCheckpoint(f"{path}: missing {exc}") from None
+    params.weights = {k[2:]: v.astype(np.float64) for k, v in arrays.items() if k.startswith("w_")}
+    if params.arch not in WEIGHT_NAMES:
+        raise BadCheckpoint(f"{path}: unknown architecture {params.arch!r}")
+    missing = sorted(set(WEIGHT_NAMES[params.arch]) - set(params.weights))
+    if missing:
+        raise BadCheckpoint(f"{path}: missing weights {missing}")
     return params
+
+
+def check_vocabulary(params: ModelParams, vocab: Vocabulary) -> None:
+    """Raise VocabularyMismatch unless ``params`` were trained on ``vocab``."""
+    expected = vocab_mod.manifest_hash(vocab)
+    if params.n_classes != vocab.size or params.vocab_hash != expected:
+        raise VocabularyMismatch(
+            f"model has {params.n_classes} classes (vocabulary {params.vocab_hash[:12] or '?'}); "
+            f"expected {vocab.size} (vocabulary {expected[:12]})")

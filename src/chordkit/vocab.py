@@ -1,16 +1,27 @@
-"""Closed chord vocabularies and the integer id scheme.
+"""Closed chord vocabularies, the integer id scheme and per-class tables.
 
 Chord ids follow ``quality_index * 12 + root`` with two trailing sentinels:
 ``C - 2`` for N (no chord) and ``C - 1`` for X (unknown). The large
 vocabulary has 14 qualities (C = 170), the small one major/minor only
 (C = 26), with small-vocabulary mapping defined as a reduction of the large
 one.
+
+:attr:`Vocabulary.tables` is the single source of per-class meaning: each
+class's root, pitch classes, maj/min reduction, confusion-axis index and
+every comparator's verdict, as arrays indexed by chord id. The model's
+targets, the metrics and the class-count transposition all read them
+instead of re-deriving a class's meaning one id at a time. They are built
+from ``qualities`` and ``templates`` on first use, once per distinct
+vocabulary.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import harte
 from .errors import IdOutOfRange
@@ -24,6 +35,12 @@ _TRIAD_FALLBACK = [
     ("dim", frozenset({0, 3, 6})),
     ("aug", frozenset({0, 4, 8})),
 ]
+
+# Comparator rules, applied per quality when the verdict tables are built.
+_THIRD_SLOT = (3, 4, 2, 5)  # checked in this order; min before maj before sus
+_SEVENTH_SLOT = (11, 10, 9)
+_SEVENTH_REF_QUALITIES = {"maj", "min", "maj7", "min7", "7"}
+_MAJ_TRIAD, _MIN_TRIAD = frozenset({0, 4, 7}), frozenset({0, 3, 7})
 
 
 @dataclass(frozen=True)
@@ -52,6 +69,35 @@ class Vocabulary:
     def chord_id(self, root: int, quality: str) -> int:
         return self.quality_index(quality) * 12 + root % 12
 
+    @property
+    def tables(self) -> VocabTables:
+        """Per-class arrays, built on first use and shared by equal vocabularies."""
+        return _build_tables(self)
+
+
+@dataclass(frozen=True, eq=False)
+class VocabTables:
+    """Per-class arrays of one vocabulary, indexed by chord id; read-only.
+
+    ``root``: [C] 14-way root class, 0-11 then 12 for N and 13 for X; it is
+    also the root axis of confusion matrices.
+    ``pitch``: [C, 12] 0/1 pitch-class membership, all-zero for N and X.
+    ``majmin``: [C] id of the class's reduction in the 26-class maj/min
+    vocabulary (its X where neither triad is contained).
+    ``quality``: [C] quality axis of confusion matrices: the quality's
+    index, then N, then X.
+    ``shifted``: [12, C] ``shifted[k % 12, c] == transpose_id(c, k)``.
+    ``verdicts``: comparator name -> [C, C] int8 verdict of (reference,
+    estimate): 1 correct, 0 incorrect, -1 undefined.
+    """
+
+    root: np.ndarray
+    pitch: np.ndarray
+    majmin: np.ndarray
+    quality: np.ndarray
+    shifted: np.ndarray
+    verdicts: dict[str, np.ndarray]
+
 
 def vocabulary_170() -> Vocabulary:
     names = tuple(harte.QUALITY_ORDER)
@@ -70,6 +116,66 @@ def vocabulary_26() -> Vocabulary:
 
 
 _VOCAB_170 = vocabulary_170()
+_VOCAB_26 = vocabulary_26()
+
+
+@functools.cache
+def _build_tables(vocab: Vocabulary) -> VocabTables:
+    C, n, x = vocab.size, vocab.n_id, vocab.x_id
+    ids = np.arange(C)
+    chord = ids < n
+    root = np.where(chord, ids % 12, ids - n + 12)
+    quality = np.where(chord, ids // 12, ids - n + len(vocab.qualities))
+
+    def per_id(per_quality, sentinel):
+        """Spread one value per quality over its 12 ids; N and X get sentinel."""
+        return np.concatenate([np.repeat(per_quality, 12), [sentinel, sentinel]])
+
+    def slot(template, candidates):
+        return next((s for s in candidates if s in template), -1)
+
+    members = np.zeros((len(vocab.templates), 12), dtype=bool)
+    for qi, template in enumerate(vocab.templates):
+        members[qi, sorted(template)] = True
+    pitch = np.zeros((C, 12))
+    pitch[:n] = members[quality[:n, None], (np.arange(12) - root[:n, None]) % 12]
+
+    # 0 for maj, 12 for min: the quality's offset in the 26-class vocabulary
+    small_offset = per_id([0 if _MAJ_TRIAD <= t else 12 if _MIN_TRIAD <= t else -1
+                           for t in vocab.templates], -1)
+    majmin = np.where(small_offset >= 0, small_offset + root, _VOCAB_26.x_id)
+    majmin[n] = _VOCAB_26.n_id
+
+    shifted = np.where(chord, ids - root + (root + np.arange(12)[:, None]) % 12, ids)
+
+    third = per_id([slot(t, _THIRD_SLOT) for t in vocab.templates], -1)
+    seventh = per_id([slot(t, _SEVENTH_SLOT) for t in vocab.templates], -1)
+    seventh_ref = per_id([q in _SEVENTH_REF_QUALITIES for q in vocab.qualities], True)
+
+    def same(per_class):
+        return per_class[:, None] == per_class[None, :]
+
+    # N and X have their own root classes and no slots, so a sentinel agrees
+    # with another class only when both are N (or both X, an undefined row)
+    same_third = same(root) & same(third)
+    both_n = (ids == n)[:, None] & (ids == n)[None, :]
+    rules = {  # name -> (correct, rows where the reference makes it undefined)
+        "acc": (same(ids), ids == x),
+        "root": (same(root), ids == x),
+        "third": (same_third, ids == x),
+        "seventh": (same_third & same(seventh), ~seventh_ref | (ids == x)),
+        "mirex": ((pitch @ pitch.T >= 3) | both_n, ids == x),
+        "majmin": (same(majmin), majmin == _VOCAB_26.x_id),
+    }
+    verdicts = {}
+    for name, (correct, undefined) in rules.items():
+        table = correct.astype(np.int8)
+        table[undefined] = -1
+        verdicts[name] = table
+    for array in (root, pitch, majmin, quality, shifted, *verdicts.values()):
+        array.flags.writeable = False
+    return VocabTables(root=root, pitch=pitch, majmin=majmin, quality=quality,
+                       shifted=shifted, verdicts=verdicts)
 
 
 def map_label(label: ChordLabel, vocab: Vocabulary) -> int:
@@ -80,8 +186,7 @@ def map_label(label: ChordLabel, vocab: Vocabulary) -> int:
         return vocab.x_id
 
     if vocab.reduce_to_majmin:
-        large_id = map_label(label, _VOCAB_170)
-        return _reduce_to_small(large_id, _VOCAB_170, vocab)
+        return int(_VOCAB_170.tables.majmin[map_label(label, _VOCAB_170)])
 
     pcs = harte.pitch_class_set(label)
     relative = frozenset((p - label.root) % 12 for p in pcs)
@@ -92,21 +197,6 @@ def map_label(label: ChordLabel, vocab: Vocabulary) -> int:
         if name in vocab.qualities and triad <= relative:
             return vocab.quality_index(name) * 12 + label.root
     return vocab.x_id
-
-
-def _reduce_to_small(large_id: int, large: Vocabulary, small: Vocabulary) -> int:
-    if large_id == large.n_id:
-        return small.n_id
-    if large_id == large.x_id:
-        return small.x_id
-    quality = large.qualities[large_id // 12]
-    root = large_id % 12
-    template = QUALITY_TEMPLATES[quality]
-    if frozenset({0, 4, 7}) <= template:
-        return small.chord_id(root, "maj")
-    if frozenset({0, 3, 7}) <= template:
-        return small.chord_id(root, "min")
-    return small.x_id
 
 
 def id_info(chord_id: int, vocab: Vocabulary):
@@ -136,8 +226,16 @@ def id_pitch_classes(chord_id: int, vocab: Vocabulary) -> frozenset[int]:
     info = id_info(chord_id, vocab)
     if info in ("N", "X"):
         return frozenset()
-    root, quality = info
-    return frozenset((p + root) % 12 for p in QUALITY_TEMPLATES[quality])
+    root, _ = info
+    return frozenset((p + root) % 12 for p in vocab.templates[chord_id // 12])
+
+
+def check_ids(ids, vocab: Vocabulary, error: type[Exception] = IdOutOfRange) -> np.ndarray:
+    """``ids`` as an int64 array; raises ``error`` if one lies outside [0, C)."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab.size):
+        raise error(f"chord id outside [0, {vocab.size})")
+    return ids
 
 
 def transpose_id(chord_id: int, k: int, vocab: Vocabulary) -> int:

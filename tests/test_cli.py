@@ -137,6 +137,79 @@ class TestPredictSmoothEval:
                     "--out", tmp_path / "x"]) == 1
 
 
+def _one_json_error(capsys):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert set(err) == {"error", "message"}
+    return err
+
+
+def _rewrite_checkpoint(src, dst, drop=(), **replace):
+    with np.load(src) as data:
+        arrays = {k: data[k] for k in data.files if k not in drop}
+    arrays.update(replace)
+    np.savez(dst, **arrays)
+    return dst
+
+
+class TestVocabularyMismatch:
+    """A model, posteriorgram or checkpoint that does not fit the vocabulary
+    fails with exit 1 and one JSON error line, never with wrong labels."""
+
+    def _predict(self, dataset, checkpoint, tmp_path):
+        return run(["predict", "--model", checkpoint,
+                    "--features", dataset / "song_0000.cqtf",
+                    "--out", tmp_path / "pred"])
+
+    def test_predict_rejects_other_class_count(self, dataset, tmp_path, capsys):
+        from chordkit.model import init_params, save_checkpoint
+        from chordkit.vocab import vocabulary_26
+        checkpoint = tmp_path / "small.npz"
+        save_checkpoint(init_params("logistic", 216, vocabulary_26()), checkpoint)
+        capsys.readouterr()
+        assert self._predict(dataset, checkpoint, tmp_path) == 1  # default --vocab 170
+        assert _one_json_error(capsys)["error"] == "VocabularyMismatch"
+        assert not (tmp_path / "pred" / "labels.tsv").exists()
+
+    def test_predict_rejects_other_vocabulary_hash(self, dataset, trained, tmp_path, capsys):
+        meta = json.loads(str(np.load(trained / "model.npz")["meta"]))
+        meta["vocab_hash"] = "0" * 64
+        checkpoint = _rewrite_checkpoint(trained / "model.npz", tmp_path / "m.npz",
+                                         meta=json.dumps(meta))
+        capsys.readouterr()
+        assert self._predict(dataset, checkpoint, tmp_path) == 1
+        assert _one_json_error(capsys)["error"] == "VocabularyMismatch"
+
+    def test_smooth_rejects_other_column_count(self, tmp_path, capsys):
+        post = tmp_path / "post.npy"
+        np.save(post, np.full((10, 26), 1.0 / 26))
+        capsys.readouterr()
+        assert run(["smooth", "--post", post, "--out", tmp_path / "s"]) == 1
+        assert _one_json_error(capsys)["error"] == "VocabularyMismatch"
+
+    @pytest.mark.parametrize("drop, replace", [
+        (("meta",), {}),
+        (("w_Wc",), {}),
+        (("mean",), {}),
+        ((), {"meta": "{not json"}),
+    ], ids=["no-meta", "no-weight", "no-mean", "bad-json"])
+    def test_predict_rejects_broken_checkpoint(self, dataset, trained, tmp_path, capsys,
+                                               drop, replace):
+        checkpoint = _rewrite_checkpoint(trained / "model.npz", tmp_path / "m.npz",
+                                         drop=drop, **replace)
+        capsys.readouterr()
+        assert self._predict(dataset, checkpoint, tmp_path) == 1
+        assert _one_json_error(capsys)["error"] == "BadCheckpoint"
+
+    def test_predict_rejects_bare_array(self, dataset, tmp_path, capsys):
+        checkpoint = tmp_path / "weights.npy"
+        np.save(checkpoint, np.zeros(3))
+        capsys.readouterr()
+        assert self._predict(dataset, checkpoint, tmp_path) == 1
+        assert _one_json_error(capsys)["error"] == "BadCheckpoint"
+
+
 class TestReport:
     def test_report_outputs(self, dataset, tmp_path):
         out = tmp_path / "report"

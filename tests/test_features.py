@@ -126,6 +126,31 @@ class TestRenderer:
         assert not np.array_equal(a.data, c.data)
         assert (a.data >= a.floor_db).all()
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), noise=st.sampled_from([0.0, 4.0]))
+    def test_matches_per_frame_reference(self, seed, noise):
+        # the renderer before it shared annotate.segment_index: one
+        # Annotation.label_at scan per frame center
+        from chordkit import harte
+        from chordkit.synthgen import ProgressionConfig, generate_song
+        ann, _, _ = generate_song(ProgressionConfig(duration=20.0), seed)
+        grid = grid_for(21.0)  # a tail past the annotation stays at the floor
+        params = RenderParams(noise_db=noise, seed=seed)
+        pcs = bin_pitch_classes(params.n_bins, params.bins_per_octave)
+        octaves = np.arange(params.n_bins) // (params.bins_per_octave // 12) // 12
+        data = np.full((grid.n_frames, params.n_bins), params.floor_db, dtype=np.float32)
+        for i, t in enumerate(grid.centers()):
+            label = ann.label_at(t)
+            if label.is_chord():
+                mask = np.isin(pcs, list(harte.pitch_class_set(label)))
+                data[i, mask] = params.peak_db - params.octave_rolloff_db * octaves[mask]
+        if noise > 0:
+            rng = np.random.default_rng(params.seed)
+            data = data + rng.normal(0.0, noise, size=data.shape).astype(np.float32)
+            data = np.maximum(data, params.floor_db)
+        got = render_synthetic_cqt(ann, grid, params).data
+        assert got.dtype == data.dtype and got.tobytes() == data.tobytes()
+
 
 class TestPitchShift:
     def test_render_equivariance_no_wrap(self):
