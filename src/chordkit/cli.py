@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, annotate, decode, features, metrics, model, synthgen
-from .errors import ChordkitError, VocabularyMismatch
+from .errors import ChordkitError
 from .harte import format_chord
 from .metrics import MetricKind
 from .vocab import get_vocabulary, id_label, map_label
@@ -72,10 +72,19 @@ def _split(pairs, seed: int):
     return train, val, test
 
 
-def _ids_to_lab(ids, hop: float, vocab, path: Path) -> None:
-    path_intervals = metrics.path_from_frames(ids, hop).intervals
-    with open(path, "w", encoding="utf-8") as fh:
-        for start, end, chord_id in path_intervals:
+def _label_path(ids, hop: float, intervals=None) -> metrics.TimedPath:
+    """Labels of posteriorgram rows: frame rows (no ``intervals``) merge into
+    runs of equal ids; pooled rows keep one labelled interval each."""
+    if intervals is None:
+        return metrics.path_from_frames(ids, hop)
+    return metrics.TimedPath(intervals=tuple(
+        (float(start), float(end), int(chord_id))
+        for (start, end), chord_id in zip(intervals, ids)))
+
+
+def _write_labels(path: metrics.TimedPath, vocab, out: Path) -> None:
+    with open(out, "w", encoding="utf-8") as fh:
+        for start, end, chord_id in path.intervals:
             fh.write(f"{start:.6f}\t{end:.6f}\t{format_chord(id_label(chord_id, vocab))}\n")
 
 
@@ -139,53 +148,42 @@ def cmd_predict(args) -> int:
     params = model.load_checkpoint(args.model)
     model.check_vocabulary(params, vocab)
     feat = features.load_features(args.features)
-    if args.beat_file or args.beat_division == "perfect":
-        if args.beat_division == "perfect":
-            if not args.ann:
-                raise ChordkitError("--beat-division perfect requires --ann")
-            ann = annotate.load_annotation(args.ann,
-                                           duration=feat.n_frames * feat.hop)
-            intervals = features.perfect_intervals(ann)
-        else:
-            beats = features.load_beats(args.beat_file)
-            intervals = features.beat_intervals(beats, args.beat_division,
-                                                duration=feat.n_frames * feat.hop)
-        feat, intervals = features.beat_pool(feat, intervals)
-        post, _, _ = model.forward(params, feat)
-        ids = np.argmax(post, axis=1)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "labels.tsv", "w", encoding="utf-8") as fh:
-            for (start, end), chord_id in zip(intervals.intervals, ids):
-                fh.write(f"{start:.6f}\t{end:.6f}\t{format_chord(id_label(int(chord_id), vocab))}\n")
-        np.save(out_dir / "posteriors.npy", post)
-    else:
-        post, _, _ = model.forward(params, feat)
-        ids = np.argmax(post, axis=1)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _ids_to_lab(ids, feat.hop, vocab, out_dir / "labels.tsv")
-        np.save(out_dir / "posteriors.npy", post)
+    duration = feat.n_frames * feat.hop
+    beats = None
+    if args.beat_division == "perfect":
+        if not args.ann:
+            raise ChordkitError("--beat-division perfect requires --ann")
+        beats = features.perfect_intervals(annotate.load_annotation(args.ann, duration=duration))
+    elif args.beat_file:
+        beats = features.beat_intervals(features.load_beats(args.beat_file),
+                                        args.beat_division, duration=duration)
+    if beats is not None:
+        feat, beats = features.beat_pool(feat, beats)
+    intervals = beats.intervals if beats is not None else None
+    post, _, _ = model.forward(params, feat)
+    ids = np.argmax(post, axis=1)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_labels(_label_path(ids, feat.hop, intervals), vocab, out_dir / "labels.tsv")
+    model.save_posteriors(out_dir / "posteriors.npz", post, params.vocab_hash,
+                          feat.hop, intervals)
     _write_manifest(out_dir, "predict", args, [args.model, args.features],
-                    ["labels.tsv", "posteriors.npy"])
+                    ["labels.tsv", "posteriors.npz"])
     _log(f"wrote predictions to {out_dir}")
     return 0
 
 
 def cmd_smooth(args) -> int:
     vocab = get_vocabulary(args.vocab)
-    post = np.load(args.post)
-    if post.ndim != 2 or post.shape[1] != vocab.size:
-        raise VocabularyMismatch(
-            f"posteriors have shape {post.shape}; expected {vocab.size} columns")
+    post, hop, intervals = model.load_posteriors(args.post, vocab)
     cfg = decode.DecoderConfig(beta=args.beta, n_classes=post.shape[1],
                                mode="max_marginal" if args.max_marginal else "viterbi")
     ids = decode.viterbi_smooth(post, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _ids_to_lab(ids, args.hop, vocab, out_dir / "labels.tsv")
+    _write_labels(_label_path(ids, hop, intervals), vocab, out_dir / "labels.tsv")
     _write_manifest(out_dir, "smooth", args, [args.post], ["labels.tsv"])
-    _log(f"smoothed {post.shape[0]} frames (beta={args.beta}) -> {out_dir}")
+    _log(f"smoothed {post.shape[0]} rows (beta={args.beta}) -> {out_dir}")
     return 0
 
 

@@ -21,6 +21,10 @@ class IdOutOfRange(ChordkitError):
     pass
 
 
+class BadManifest(ChordkitError):
+    pass
+
+
 # --- annotations ---
 
 class MalformedLine(ChordkitError):
@@ -55,6 +59,14 @@ class BadBinConfig(ChordkitError):
     pass
 
 
+class BadHeader(ChordkitError):
+    pass
+
+
+class NonFiniteFeatures(ChordkitError):
+    pass
+
+
 class EmptyBeatList(ChordkitError):
     pass
 
@@ -82,6 +94,10 @@ class BadCheckpoint(ChordkitError):
 
 
 class VocabularyMismatch(ChordkitError):
+    pass
+
+
+class BadPosteriors(ChordkitError):
     pass
 
 

@@ -9,6 +9,8 @@ stored frame-major. Round-trips are bit-exact.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -16,7 +18,8 @@ import numpy as np
 
 from . import harte
 from .annotate import Annotation, FrameGrid, segment_index
-from .errors import BadBinConfig, BadMagic, EmptyBeatList, TruncatedPayload, VersionMismatch
+from .errors import (BadBinConfig, BadHeader, BadMagic, EmptyBeatList, NonFiniteFeatures,
+                     TruncatedPayload, VersionMismatch)
 
 MAGIC = b"CQTF"
 VERSION = 1
@@ -58,6 +61,12 @@ def save_features(feat: FeatureMatrix, path) -> None:
 
 
 def load_features(path) -> FeatureMatrix:
+    """Read a CQTF file; every malformed file raises a ChordkitError.
+
+    The header must describe at least one bin, a positive finite hop, a
+    finite floor and a positive multiple of 12 bins per octave; the file
+    must hold the payload the header claims, and every value is finite.
+    """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -67,10 +76,25 @@ def load_features(path) -> FeatureMatrix:
             raise BadMagic(f"bad magic {magic!r} in {path}")
         if version != VERSION:
             raise VersionMismatch(f"version {version}, expected {VERSION}")
-        payload = fh.read(n_frames * n_bins * 4)
-    if len(payload) < n_frames * n_bins * 4:
+        if n_bins == 0:
+            raise BadHeader(f"no bins in {path}")
+        if not (math.isfinite(hop) and hop > 0):
+            raise BadHeader(f"hop {hop} is not a positive number in {path}")
+        if not math.isfinite(floor_db):
+            raise BadHeader(f"floor_db {floor_db} is not finite in {path}")
+        if bpo == 0 or bpo % 12 != 0:
+            raise BadBinConfig(f"bins_per_octave {bpo} is not a positive multiple of 12")
+        size = n_frames * n_bins * 4
+        # the file size bounds the read, so a forged n_frames cannot ask for
+        # more memory than the file holds
+        if os.fstat(fh.fileno()).st_size - _HEADER.size < size:
+            raise TruncatedPayload(f"payload shorter than header promises: {path}")
+        payload = fh.read(size)
+    if len(payload) < size:
         raise TruncatedPayload(f"payload shorter than header promises: {path}")
     data = np.frombuffer(payload, dtype="<f4").reshape(n_frames, n_bins).astype(np.float32)
+    if not np.isfinite(data).all():
+        raise NonFiniteFeatures(f"non-finite feature values in {path}")
     return FeatureMatrix(data=data, hop=hop, bins_per_octave=bpo, floor_db=floor_db)
 
 

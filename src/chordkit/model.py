@@ -13,6 +13,15 @@ and a structured term::
 L_root is a 14-way cross-entropy (12 roots plus N and X as their own
 classes), L_pitch the mean of 12 binary cross-entropies against the
 target's pitch-class membership (all-zero for N/X targets).
+
+There is one optimizer and epoch loop (Adam, cosine learning rate,
+per-epoch loss record, validation and best-parameter selection). Two batch
+sources feed it: :func:`train` samples a patch per song each epoch, with
+optional pitch shift, and :func:`fit_rows` shuffles ready-made feature rows
+such as beat-pooled vectors.
+
+Checkpoints and saved posteriorgrams are ``.npz`` archives with a JSON
+``meta`` entry that records the vocabulary they belong to.
 """
 
 from __future__ import annotations
@@ -20,14 +29,17 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
+import zipfile
+import zlib
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import vocab as vocab_mod
 from .annotate import frame_labels
-from .errors import (AllZeroCounts, BadCheckpoint, DimensionMismatch, EmptyDataset,
-                     NonFiniteLoss, TargetOutOfRange, VocabularyMismatch)
+from .errors import (AllZeroCounts, BadCheckpoint, BadPosteriors, ChordkitError,
+                     DimensionMismatch, EmptyDataset, NonFiniteLoss, TargetOutOfRange,
+                     VocabularyMismatch)
 from .features import FeatureMatrix, pitch_shift_cqt
 from .vocab import Vocabulary, check_ids
 
@@ -354,6 +366,94 @@ def dataset_frame_ids(dataset, vocab: Vocabulary):
     return [frame_labels(ann, feat.grid(), vocab) for feat, ann in dataset]
 
 
+def _standardized_init(arch: str, data: np.ndarray, vocab: Vocabulary, cfg: TrainConfig,
+                       hidden_units: int, context: int) -> ModelParams:
+    """Fresh parameters whose input standardization is fitted to ``data``."""
+    params = init_params(arch, data.shape[1], vocab, hidden_units=hidden_units,
+                         context=context, seed=cfg.seed)
+    params.mean = data.mean(axis=0)
+    std = data.std(axis=0)
+    params.std = np.where(std > 1e-8, std, 1.0)
+    return params
+
+
+def _patch_batches(rng, dataset, ids_per_song, cfg: TrainConfig, vocab: Vocabulary):
+    """One epoch of ``train`` batches: a patch per song, optionally pitch-shifted,
+    zero-padded to the longest in its batch; the mask marks the real frames."""
+    n_bins = dataset[0][0].n_bins
+    patch_frames = max(1, round(cfg.patch_seconds / dataset[0][0].hop))
+    patches = []
+    for (feat, _), ids in zip(dataset, ids_per_song):
+        start = int(rng.integers(0, max(1, feat.n_frames - patch_frames + 1)))
+        x = feat.data[start:start + patch_frames]
+        y = ids[start:start + patch_frames]
+        if cfg.shift_probability > 0 and rng.random() < cfg.shift_probability:
+            k = int(SHIFT_CHOICES[rng.integers(0, len(SHIFT_CHOICES))])
+            x = pitch_shift_cqt(replace(feat, data=x), k).data
+            y = vocab.tables.shifted[k % 12, y]
+        patches.append((x, y))
+
+    for b in range(0, len(patches), cfg.batch_size):
+        batch = patches[b:b + cfg.batch_size]
+        longest = max(x.shape[0] for x, _ in batch)
+        xs = np.zeros((len(batch), longest, n_bins))
+        ys = np.zeros((len(batch), longest), dtype=np.int64)
+        mask = np.zeros((len(batch), longest), dtype=bool)
+        for j, (x, y) in enumerate(batch):
+            xs[j, :x.shape[0]] = x
+            ys[j, :x.shape[0]] = y
+            mask[j, :x.shape[0]] = True
+        yield xs.reshape(-1, n_bins), ys.reshape(-1), mask.reshape(-1)
+
+
+def _row_batches(rng, rows: np.ndarray, targets: np.ndarray, batch_size: int):
+    """One epoch of ``fit_rows`` batches: every row once, in shuffled order."""
+    order = rng.permutation(len(rows))
+    for b in range(0, len(order), batch_size):
+        sel = order[b:b + batch_size]
+        yield rows[sel], targets[sel], None
+
+
+def _fit(params: ModelParams, epoch_batches, weights: np.ndarray, cfg: TrainConfig,
+         vocab: Vocabulary, val=(), val_ids=()):
+    """Adam over ``epoch_batches(rng)`` for cfg.epochs epochs with a cosine rate.
+
+    ``epoch_batches`` returns one epoch's (data, targets, mask) batches,
+    drawing from the run's one generator, seeded by cfg.seed. With ``val``,
+    validation runs every cfg.validate_every epochs and on the last one, and
+    the parameters of the lowest validation loss are returned.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    adam = _AdamState(m={k: np.zeros_like(v) for k, v in params.weights.items()},
+                      v={k: np.zeros_like(v) for k, v in params.weights.items()})
+    history = []
+    best_val = math.inf
+    best_params = copy.deepcopy(params) if val else params
+
+    for epoch in range(cfg.epochs):
+        lr = cosine_lr(cfg.learning_rate, epoch, cfg.epochs)
+        epoch_loss, n_batches = 0.0, 0
+        for data, targets, mask in epoch_batches(rng):
+            loss, grads = loss_and_grads(params, data, targets, weights,
+                                         cfg.structured_gamma, vocab, mask=mask)
+            if not math.isfinite(loss):
+                raise NonFiniteLoss(epoch)
+            _adam_step(params, grads, adam, lr)
+            epoch_loss += loss
+            n_batches += 1
+
+        record = {"epoch": epoch, "lr": lr, "train_loss": epoch_loss / n_batches}
+        if val and (epoch % cfg.validate_every == 0 or epoch == cfg.epochs - 1):
+            val_loss, val_acc = evaluate(params, val, val_ids, weights,
+                                         cfg.structured_gamma, vocab)
+            record["val_loss"], record["val_acc"] = val_loss, val_acc
+            if val_loss < best_val:
+                best_val = val_loss
+                best_params = copy.deepcopy(params)
+        history.append(record)
+    return best_params, history
+
+
 def train(dataset, val, cfg: TrainConfig, vocab: Vocabulary, arch: str = "logistic",
           hidden_units: int = 64, context: int = 5):
     """Train a frame-wise classifier; returns (best_params, history).
@@ -365,84 +465,16 @@ def train(dataset, val, cfg: TrainConfig, vocab: Vocabulary, arch: str = "logist
     """
     if not dataset:
         raise EmptyDataset("empty training set")
-    rng = np.random.default_rng(cfg.seed)
-    n_bins = dataset[0][0].n_bins
-
-    all_train = np.concatenate([feat.data for feat, _ in dataset], axis=0)
-    params = init_params(arch, n_bins, vocab, hidden_units=hidden_units,
-                         context=context, seed=cfg.seed)
-    params.mean = all_train.mean(axis=0)
-    std = all_train.std(axis=0)
-    params.std = np.where(std > 1e-8, std, 1.0)
-    del all_train
+    params = _standardized_init(arch, np.concatenate([feat.data for feat, _ in dataset]),
+                                vocab, cfg, hidden_units, context)
 
     train_ids = dataset_frame_ids(dataset, vocab)
     counts = np.bincount(np.concatenate(train_ids), minlength=vocab.size).astype(np.float64)
-    exp_counts = expected_counts(counts, cfg.shift_probability, vocab)
-    weights = class_weights(exp_counts, cfg.weight_alpha)
-
+    weights = class_weights(expected_counts(counts, cfg.shift_probability, vocab),
+                            cfg.weight_alpha)
     val_ids = dataset_frame_ids(val, vocab) if val else []
-    adam = _AdamState(m={k: np.zeros_like(v) for k, v in params.weights.items()},
-                      v={k: np.zeros_like(v) for k, v in params.weights.items()})
-    history = []
-    best_val = math.inf
-    best_params = copy.deepcopy(params)
-
-    hop = dataset[0][0].hop
-    patch_frames = max(1, round(cfg.patch_seconds / hop))
-
-    for epoch in range(cfg.epochs):
-        lr = cosine_lr(cfg.learning_rate, epoch, cfg.epochs)
-        patches = []
-        for (feat, _), ids in zip(dataset, train_ids):
-            n = feat.n_frames
-            start = int(rng.integers(0, max(1, n - patch_frames + 1)))
-            x = feat.data[start:start + patch_frames]
-            y = ids[start:start + patch_frames]
-            if cfg.shift_probability > 0 and rng.random() < cfg.shift_probability:
-                k = int(SHIFT_CHOICES[rng.integers(0, len(SHIFT_CHOICES))])
-                shifted = pitch_shift_cqt(
-                    FeatureMatrix(data=x, hop=feat.hop,
-                                  bins_per_octave=feat.bins_per_octave,
-                                  floor_db=feat.floor_db), k)
-                x = shifted.data
-                y = vocab.tables.shifted[k % 12, y]
-            patches.append((x, y))
-
-        epoch_loss, n_batches = 0.0, 0
-        for b in range(0, len(patches), cfg.batch_size):
-            batch = patches[b:b + cfg.batch_size]
-            longest = max(x.shape[0] for x, _ in batch)
-            xs = np.zeros((len(batch), longest, n_bins))
-            ys = np.zeros((len(batch), longest), dtype=np.int64)
-            mask = np.zeros((len(batch), longest), dtype=bool)
-            for j, (x, y) in enumerate(batch):
-                xs[j, :x.shape[0]] = x
-                ys[j, :x.shape[0]] = y
-                mask[j, :x.shape[0]] = True
-            loss, grads = loss_and_grads(
-                params, xs.reshape(-1, n_bins), ys.reshape(-1),
-                weights, cfg.structured_gamma, vocab, mask=mask.reshape(-1))
-            if not math.isfinite(loss):
-                raise NonFiniteLoss(epoch)
-            _adam_step(params, grads, adam, lr)
-            epoch_loss += loss
-            n_batches += 1
-
-        record = {"epoch": epoch, "lr": lr, "train_loss": epoch_loss / n_batches}
-
-        if val and (epoch % cfg.validate_every == 0 or epoch == cfg.epochs - 1):
-            val_loss, val_acc = evaluate(params, val, val_ids, weights,
-                                         cfg.structured_gamma, vocab)
-            record["val_loss"], record["val_acc"] = val_loss, val_acc
-            if val_loss < best_val:
-                best_val = val_loss
-                best_params = copy.deepcopy(params)
-        history.append(record)
-
-    if not val:
-        best_params = params
-    return best_params, history
+    return _fit(params, lambda rng: _patch_batches(rng, dataset, train_ids, cfg, vocab),
+                weights, cfg, vocab, val, val_ids)
 
 
 def fit_rows(rows: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
@@ -456,33 +488,10 @@ def fit_rows(rows: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
     targets = np.asarray(targets, dtype=np.int64)
     if rows.size == 0:
         raise EmptyDataset("no rows to fit")
-    rng = np.random.default_rng(cfg.seed)
-    params = init_params(arch, rows.shape[1], vocab, hidden_units=hidden_units,
-                         context=0, seed=cfg.seed)
-    params.mean = rows.mean(axis=0)
-    std = rows.std(axis=0)
-    params.std = np.where(std > 1e-8, std, 1.0)
-
+    params = _standardized_init(arch, rows, vocab, cfg, hidden_units, context=0)
     counts = np.bincount(targets, minlength=vocab.size).astype(np.float64)
-    weights = class_weights(counts, cfg.weight_alpha)
-    adam = _AdamState(m={k: np.zeros_like(v) for k, v in params.weights.items()},
-                      v={k: np.zeros_like(v) for k, v in params.weights.items()})
-    history = []
-    for epoch in range(cfg.epochs):
-        lr = cosine_lr(cfg.learning_rate, epoch, cfg.epochs)
-        order = rng.permutation(len(rows))
-        epoch_loss, n_batches = 0.0, 0
-        for b in range(0, len(order), cfg.batch_size):
-            sel = order[b:b + cfg.batch_size]
-            loss, grads = loss_and_grads(params, rows[sel], targets[sel],
-                                         weights, cfg.structured_gamma, vocab)
-            if not math.isfinite(loss):
-                raise NonFiniteLoss(epoch)
-            _adam_step(params, grads, adam, lr)
-            epoch_loss += loss
-            n_batches += 1
-        history.append({"epoch": epoch, "lr": lr, "train_loss": epoch_loss / n_batches})
-    return params, history
+    return _fit(params, lambda rng: _row_batches(rng, rows, targets, cfg.batch_size),
+                class_weights(counts, cfg.weight_alpha), cfg, vocab)
 
 
 def evaluate(params: ModelParams, dataset, ids_per_song, weights, gamma, vocab):
@@ -515,26 +524,42 @@ def save_checkpoint(params: ModelParams, path) -> None:
              std=params.std.astype(np.float32), **arrays)
 
 
+def _read_archive(path, error: type[ChordkitError]):
+    """Arrays and parsed JSON ``meta`` of an ``.npz`` archive.
+
+    Raises ``error`` for a file numpy cannot read as an archive (a bare
+    array, an empty or garbled file) and for a missing or non-JSON meta.
+    """
+    with open(path, "rb") as fh:
+        try:
+            loaded = np.load(fh, allow_pickle=False)
+            if not isinstance(loaded, np.lib.npyio.NpzFile):
+                raise error(f"{path}: not an .npz archive")
+            with loaded as data:
+                arrays = {key: data[key] for key in data.files}
+        # what numpy and zipfile raise for a truncated or garbled archive
+        except (EOFError, OSError, ValueError, NotImplementedError, RuntimeError,
+                zipfile.BadZipFile, zlib.error) as exc:
+            raise error(f"{path}: not a readable .npz archive ({exc})") from None
+    try:
+        meta = json.loads(str(arrays.pop("meta")))
+    except KeyError:
+        raise error(f"{path}: no meta record") from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: meta is not JSON ({exc})") from None
+    if not isinstance(meta, dict) or meta.get("version") != 1:
+        raise error(f"{path}: unsupported version")
+    return arrays, meta
+
+
 def load_checkpoint(path) -> ModelParams:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    Raises BadCheckpoint when the file is a bare array, when the metadata is
-    missing, is not JSON or lacks a field, or when an array the
+    Raises BadCheckpoint when the file is not a readable archive, when the
+    metadata is missing, is not JSON or lacks a field, or when an array the
     architecture needs is missing.
     """
-    loaded = np.load(path, allow_pickle=False)
-    if not isinstance(loaded, np.lib.npyio.NpzFile):
-        raise BadCheckpoint(f"{path}: not an .npz archive")
-    with loaded as data:
-        arrays = {key: data[key] for key in data.files}
-    try:
-        meta = json.loads(str(arrays["meta"]))
-    except KeyError:
-        raise BadCheckpoint(f"{path}: no meta record") from None
-    except json.JSONDecodeError as exc:
-        raise BadCheckpoint(f"{path}: meta is not JSON ({exc})") from None
-    if not isinstance(meta, dict) or meta.get("version") != 1:
-        raise BadCheckpoint(f"{path}: unsupported checkpoint version")
+    arrays, meta = _read_archive(path, BadCheckpoint)
     try:
         params = ModelParams(arch=meta["arch"], n_bins=meta["n_bins"],
                              n_classes=meta["n_classes"],
@@ -551,6 +576,49 @@ def load_checkpoint(path) -> ModelParams:
     if missing:
         raise BadCheckpoint(f"{path}: missing weights {missing}")
     return params
+
+
+def save_posteriors(path, post: np.ndarray, vocab_hash: str, hop: float,
+                    intervals=None) -> None:
+    """Save a posteriorgram with its time grid and vocabulary hash.
+
+    Row i covers [i * hop, (i + 1) * hop) unless ``intervals`` gives each
+    row's (start, end) in seconds, as for beat-pooled rows.
+    """
+    arrays = {} if intervals is None else {"intervals": np.asarray(intervals, dtype=np.float64)}
+    meta = {"version": 1, "vocab_hash": vocab_hash, "hop": hop}
+    np.savez(path, meta=json.dumps(meta, sort_keys=True), posteriors=post, **arrays)
+
+
+def load_posteriors(path, vocab: Vocabulary):
+    """(posteriors, hop, intervals or None) saved by :func:`save_posteriors`.
+
+    Raises VocabularyMismatch when the vocabulary hash or the column count
+    differs from ``vocab``, and BadPosteriors for anything else that is not
+    a posteriorgram on a valid time grid.
+    """
+    arrays, meta = _read_archive(path, BadPosteriors)
+    try:
+        post, hop, vocab_hash = arrays["posteriors"], meta["hop"], meta["vocab_hash"]
+    except KeyError as exc:
+        raise BadPosteriors(f"{path}: missing {exc}") from None
+    if post.ndim != 2 or post.shape[1] != vocab.size:
+        raise VocabularyMismatch(
+            f"posteriors have shape {post.shape}; expected {vocab.size} columns")
+    expected = vocab_mod.manifest_hash(vocab)
+    if vocab_hash != expected:
+        raise VocabularyMismatch(f"posteriors belong to vocabulary {str(vocab_hash)[:12]}; "
+                                 f"expected {expected[:12]}")
+    if post.dtype.kind != "f" or not np.isfinite(post).all():
+        raise BadPosteriors(f"{path}: posteriors are not finite floats")
+    if not isinstance(hop, (int, float)) or not math.isfinite(hop) or hop <= 0:
+        raise BadPosteriors(f"{path}: hop {hop!r} is not a positive number")
+    intervals = arrays.get("intervals")
+    if intervals is not None and (intervals.shape != (len(post), 2)
+                                  or intervals.dtype.kind != "f"):
+        raise BadPosteriors(f"{path}: intervals of shape {intervals.shape} "
+                            f"do not match {len(post)} rows")
+    return post, float(hop), intervals
 
 
 def check_vocabulary(params: ModelParams, vocab: Vocabulary) -> None:

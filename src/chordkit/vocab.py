@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import harte
-from .errors import IdOutOfRange
+from .errors import BadManifest, IdOutOfRange
 from .harte import ChordKind, ChordLabel, QUALITY_TEMPLATES
 
 MANIFEST_VERSION = 1
@@ -268,20 +268,35 @@ def save_manifest(vocab: Vocabulary, path) -> None:
 
 
 def load_manifest(path) -> Vocabulary:
+    """Read a manifest written by :func:`save_manifest`.
+
+    Raises BadManifest for an empty file, a wrong header, a missing or bad
+    ``reduce_to_majmin`` line, a quality line that is not a name plus
+    comma-separated pitch classes in 0-11, or no quality at all.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    header = lines[0].split()
-    if header[:1] != ["chordkit-vocab"] or header[1] != f"v{MANIFEST_VERSION}":
-        raise IdOutOfRange(f"unrecognized vocabulary manifest header: {lines[0]!r}")
-    reduce_flag = bool(int(lines[1].split()[1]))
+    if not lines or lines[0].split() != ["chordkit-vocab", f"v{MANIFEST_VERSION}"]:
+        raise BadManifest(f"{path}: unrecognized vocabulary manifest header")
+    reduce_line = lines[1].split() if len(lines) > 1 else []
+    if reduce_line not in (["reduce_to_majmin", "0"], ["reduce_to_majmin", "1"]):
+        raise BadManifest(f"{path}: line 2 must be 'reduce_to_majmin 0' or '... 1'")
     names, templates = [], []
-    for line in lines[2:]:
+    for line_no, line in enumerate(lines[2:], start=3):
         if not line:
             continue
-        name, pcs = line.split()
+        try:
+            name, pcs = line.split()
+            template = frozenset(int(p) for p in pcs.split(","))
+        except ValueError:
+            raise BadManifest(f"{path}: line {line_no}: expected 'name p,p,...'") from None
+        if not template <= set(range(12)):
+            raise BadManifest(f"{path}: line {line_no}: pitch classes outside 0-11")
         names.append(name)
-        templates.append(frozenset(int(p) for p in pcs.split(",")))
-    return Vocabulary(tuple(names), tuple(templates), reduce_to_majmin=reduce_flag)
+        templates.append(template)
+    if not names:
+        raise BadManifest(f"{path}: no qualities")
+    return Vocabulary(tuple(names), tuple(templates), reduce_to_majmin=reduce_line[1] == "1")
 
 
 def get_vocabulary(size: int) -> Vocabulary:

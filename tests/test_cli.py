@@ -89,12 +89,13 @@ class TestPredictSmoothEval:
                     "--features", dataset / "song_0000.cqtf",
                     "--out", pred]) == 0
         assert (pred / "labels.tsv").exists()
-        post = np.load(pred / "posteriors.npy")
+        with np.load(pred / "posteriors.npz") as saved:
+            post = saved["posteriors"]
         assert post.shape[1] == 170
         assert np.allclose(post.sum(axis=1), 1.0, atol=1e-6)
 
         smooth = tmp_path / "smooth"
-        assert run(["smooth", "--post", pred / "posteriors.npy",
+        assert run(["smooth", "--post", pred / "posteriors.npz",
                     "--beta", 0.3, "--out", smooth]) == 0
         assert (smooth / "labels.tsv").exists()
 
@@ -129,6 +130,21 @@ class TestPredictSmoothEval:
                     "--ann", dataset / "song_0000.tsv",
                     "--out", out]) == 0
         assert (out / "labels.tsv").exists()
+
+    def test_beat_predict_then_smooth_ends_at_song_duration(self, dataset, trained, tmp_path):
+        from chordkit.features import load_features
+        feat = load_features(dataset / "song_0000.cqtf")
+        beats = tmp_path / "beats.txt"
+        beats.write_text("".join(f"{t:.3f}\n" for t in np.arange(0.5, 10.0, 0.5)))
+        pred, smooth = tmp_path / "pred", tmp_path / "smooth"
+        assert run(["predict", "--model", trained / "model.npz",
+                    "--features", dataset / "song_0000.cqtf",
+                    "--beat-file", beats, "--out", pred]) == 0
+        assert run(["smooth", "--post", pred / "posteriors.npz", "--out", smooth]) == 0
+        rows = [line.split("\t") for line in (smooth / "labels.tsv").read_text().splitlines()]
+        assert len(rows) == 20  # one row per pooled interval
+        assert float(rows[0][0]) == 0.0
+        assert float(rows[-1][1]) == pytest.approx(feat.n_frames * feat.hop, abs=1e-6)
 
     def test_perfect_division_requires_ann(self, dataset, trained, tmp_path):
         assert run(["predict", "--model", trained / "model.npz",
@@ -182,8 +198,10 @@ class TestVocabularyMismatch:
         assert _one_json_error(capsys)["error"] == "VocabularyMismatch"
 
     def test_smooth_rejects_other_column_count(self, tmp_path, capsys):
-        post = tmp_path / "post.npy"
-        np.save(post, np.full((10, 26), 1.0 / 26))
+        from chordkit.model import save_posteriors
+        from chordkit.vocab import manifest_hash, vocabulary_26
+        post = tmp_path / "post.npz"
+        save_posteriors(post, np.full((10, 26), 1.0 / 26), manifest_hash(vocabulary_26()), 0.1)
         capsys.readouterr()
         assert run(["smooth", "--post", post, "--out", tmp_path / "s"]) == 1
         assert _one_json_error(capsys)["error"] == "VocabularyMismatch"
@@ -208,6 +226,68 @@ class TestVocabularyMismatch:
         capsys.readouterr()
         assert self._predict(dataset, checkpoint, tmp_path) == 1
         assert _one_json_error(capsys)["error"] == "BadCheckpoint"
+
+
+class TestLoaderFailures:
+    """A malformed input file fails with exit 1 and one JSON error line."""
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("n_frames", 2 ** 62, "TruncatedPayload"),
+        ("hop", 0.0, "BadHeader"),
+        ("n_bins", 0, "BadHeader"),
+        ("bins_per_octave", 0, "BadBinConfig"),
+    ])
+    def test_predict_rejects_bad_features(self, trained, tmp_path, capsys, field, value, error):
+        from test_features import forged_cqtf
+        cqtf = forged_cqtf(tmp_path / "a.cqtf", field, value)
+        capsys.readouterr()
+        assert run(["predict", "--model", trained / "model.npz", "--features", cqtf,
+                    "--out", tmp_path / "pred"]) == 1
+        assert _one_json_error(capsys)["error"] == error
+
+    def test_predict_rejects_nan_features(self, dataset, trained, tmp_path, capsys):
+        from chordkit.features import load_features, save_features
+        feat = load_features(dataset / "song_0000.cqtf")
+        feat.data[10:12] = np.nan
+        save_features(feat, tmp_path / "nan.cqtf")
+        capsys.readouterr()
+        assert run(["predict", "--model", trained / "model.npz",
+                    "--features", tmp_path / "nan.cqtf", "--out", tmp_path / "pred"]) == 1
+        assert _one_json_error(capsys)["error"] == "NonFiniteFeatures"
+        assert not (tmp_path / "pred" / "labels.tsv").exists()
+
+    @pytest.fixture(scope="class")
+    def posteriors(self, dataset, trained, tmp_path_factory):
+        pred = tmp_path_factory.mktemp("pred")
+        assert run(["predict", "--model", trained / "model.npz",
+                    "--features", dataset / "song_0000.cqtf", "--out", pred]) == 0
+        return pred / "posteriors.npz"
+
+    @pytest.mark.parametrize("damage", ["empty", "bare-npy", "truncated", "garbled"])
+    def test_smooth_rejects_unreadable_posteriors(self, posteriors, tmp_path, capsys, damage):
+        path = tmp_path / "post.npz"
+        raw = posteriors.read_bytes()
+        if damage == "bare-npy":
+            path = tmp_path / "post.npy"
+            with np.load(posteriors) as saved:
+                np.save(path, saved["posteriors"])
+        else:
+            path.write_bytes({"empty": b"", "truncated": raw[:len(raw) // 2],
+                              "garbled": raw[:40] + bytes(len(raw) - 40)}[damage])
+        capsys.readouterr()
+        assert run(["smooth", "--post", path, "--out", tmp_path / "s"]) == 1
+        assert _one_json_error(capsys)["error"] == "BadPosteriors"
+
+    def test_smooth_rejects_other_vocabulary_hash(self, posteriors, tmp_path, capsys):
+        with np.load(posteriors) as saved:
+            arrays = {k: saved[k] for k in saved.files}
+        meta = json.loads(str(arrays["meta"]))
+        meta["vocab_hash"] = "0" * 64
+        arrays["meta"] = json.dumps(meta)
+        np.savez(tmp_path / "post.npz", **arrays)
+        capsys.readouterr()
+        assert run(["smooth", "--post", tmp_path / "post.npz", "--out", tmp_path / "s"]) == 1
+        assert _one_json_error(capsys)["error"] == "VocabularyMismatch"
 
 
 class TestReport:

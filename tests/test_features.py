@@ -1,10 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chordkit.annotate import DEFAULT_HOP, FrameGrid, fill_gaps, grid_for
-from chordkit.errors import (BadBinConfig, BadMagic, EmptyBeatList,
-                             TruncatedPayload, VersionMismatch)
+from chordkit.errors import (BadBinConfig, BadHeader, BadMagic, ChordkitError,
+                             EmptyBeatList, NonFiniteFeatures, TruncatedPayload,
+                             VersionMismatch)
 from chordkit.features import (BeatIntervals, FeatureMatrix, RenderParams,
                                beat_intervals, beat_pool, bin_pitch_classes,
                                load_beats, load_features, perfect_intervals,
@@ -74,6 +77,71 @@ class TestFileFormat:
         path.write_bytes(b"CQTF\x01")
         with pytest.raises(TruncatedPayload):
             load_features(path)
+
+
+def forged_cqtf(path, field, value, data=np.zeros((4, 24))):
+    """A valid CQTF file with one header field overwritten."""
+    offset, fmt = {"n_bins": (8, "<I"), "n_frames": (12, "<Q"), "hop": (20, "<d"),
+                   "bins_per_octave": (28, "<I"), "floor_db": (32, "<f")}[field]
+    save_features(make_feat(data, bpo=12), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into(fmt, raw, offset, value)
+    path.write_bytes(bytes(raw))
+    return path
+
+
+BAD_HEADERS = [
+    # n_frames * n_bins * 4 bytes would overflow a read; the file size
+    # check rejects it before anything is allocated
+    ("n_frames", 2 ** 62, TruncatedPayload),
+    ("n_frames", 5, TruncatedPayload),
+    ("n_bins", 0, BadHeader),
+    ("hop", 0.0, BadHeader),
+    ("hop", -0.1, BadHeader),
+    ("hop", float("nan"), BadHeader),
+    ("hop", float("inf"), BadHeader),
+    ("floor_db", float("nan"), BadHeader),
+    ("floor_db", float("-inf"), BadHeader),
+    ("bins_per_octave", 0, BadBinConfig),
+    ("bins_per_octave", 18, BadBinConfig),
+]
+
+
+class TestLoaderRejects:
+    @pytest.mark.parametrize("field, value, error", BAD_HEADERS,
+                             ids=[f"{f}={v}" for f, v, _ in BAD_HEADERS])
+    def test_bad_header(self, tmp_path, field, value, error):
+        with pytest.raises(error):
+            load_features(forged_cqtf(tmp_path / "a.cqtf", field, value))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values(self, tmp_path, value):
+        data = np.zeros((4, 24), dtype=np.float32)
+        data[2, 5] = value
+        path = tmp_path / "a.cqtf"
+        save_features(make_feat(data, bpo=12), path)
+        with pytest.raises(NonFiniteFeatures):
+            load_features(path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cut=st.one_of(st.none(), st.integers(0, 36 + 6 * 24 * 4 - 1)),
+           flip=st.integers(0, 8 * (36 + 6 * 24 * 4) - 1))
+    def test_truncated_or_flipped_file(self, tmp_path, cut, flip):
+        """Any damage ends in a FeatureMatrix or a ChordkitError."""
+        path = tmp_path / "a.cqtf"
+        rng = np.random.default_rng(0)
+        save_features(make_feat(rng.normal(size=(6, 24)), bpo=12), path)
+        raw = bytearray(path.read_bytes())
+        if cut is None:
+            raw[flip // 8] ^= 1 << (flip % 8)
+        else:
+            del raw[cut:]
+        path.write_bytes(bytes(raw))
+        try:
+            load_features(path)
+        except ChordkitError:
+            pass
 
 
 class TestBinPitchClasses:

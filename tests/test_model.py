@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from chordkit.errors import (AllZeroCounts, DimensionMismatch, EmptyDataset,
-                             TargetOutOfRange)
+from chordkit.annotate import transpose_annotation
+from chordkit.errors import (AllZeroCounts, ChordkitError, DimensionMismatch,
+                             EmptyDataset, NonFiniteLoss, TargetOutOfRange)
 from chordkit.features import FeatureMatrix
 from chordkit.model import (TrainConfig, class_weights, context_stack,
-                            cosine_lr, expected_counts, fit_rows, forward,
-                            init_params, load_checkpoint, loss_and_grads,
+                            cosine_lr, dataset_frame_ids, evaluate,
+                            expected_counts, fit_rows, forward, init_params,
+                            load_checkpoint, load_posteriors, loss_and_grads,
                             pitch_targets, predict_frames, root_targets,
-                            save_checkpoint, total_loss, train)
-from chordkit.vocab import transpose_id, vocabulary_26, vocabulary_170
+                            save_checkpoint, save_posteriors, total_loss, train)
+from chordkit.vocab import manifest_hash, transpose_id, vocabulary_26, vocabulary_170
 
 V26 = vocabulary_26()
 V170 = vocabulary_170()
@@ -266,6 +269,65 @@ class TestTrain:
         assert (preds == y).mean() > 0.95
 
 
+def _fit_train(songs, cfg, arch):
+    return train(songs[:2], songs[2:], cfg, V26, arch=arch, hidden_units=6, context=1)
+
+
+def _fit_rows(songs, cfg, arch):
+    rows = np.concatenate([feat.data for feat, _ in songs])
+    return fit_rows(rows, np.concatenate(dataset_frame_ids(songs, V26)), cfg, V26,
+                    arch=arch, hidden_units=6)
+
+
+FITTERS = {"train": _fit_train, "fit_rows": _fit_rows}
+
+
+class TestFitLoop:
+    """The optimizer loop behind both ``train`` and ``fit_rows``."""
+
+    @pytest.mark.parametrize("fitter", FITTERS)
+    @pytest.mark.parametrize("arch", ["logistic", "hidden"])
+    def test_deterministic(self, fitter, arch):
+        cfg = TrainConfig(epochs=4, seed=3, patch_seconds=5.0, batch_size=16,
+                          shift_probability=0.5, weight_alpha=0.3, structured_gamma=0.6)
+        runs = [FITTERS[fitter](tiny_dataset(n_songs=4), cfg, arch) for _ in range(2)]
+        (p1, h1), (p2, h2) = runs
+        assert h1 == h2
+        assert np.array_equal(p1.mean, p2.mean) and np.array_equal(p1.std, p2.std)
+        for k in p1.weights:
+            assert np.array_equal(p1.weights[k], p2.weights[k]), k
+
+    @pytest.mark.parametrize("fitter", FITTERS)
+    def test_non_finite_loss_raised(self, fitter):
+        songs = tiny_dataset(n_songs=4)
+        songs[0][0].data[3, 2] = np.nan
+        with pytest.raises(NonFiniteLoss) as exc:
+            FITTERS[fitter](songs, TrainConfig(epochs=3), "logistic")
+        assert exc.value.epoch == 0
+
+    @pytest.mark.parametrize("fitter", FITTERS)
+    def test_empty_input_rejected(self, fitter):
+        empty = {"train": lambda: train([], [], TrainConfig(epochs=1), V26),
+                 "fit_rows": lambda: fit_rows(np.zeros((0, 8)), np.zeros(0, dtype=int),
+                                              TrainConfig(epochs=1), V26)}
+        with pytest.raises(EmptyDataset):
+            empty[fitter]()
+
+    def test_train_returns_best_validation_parameters(self):
+        # validation labels a semitone off, so validation loss rises as the
+        # model fits the training songs: the best epoch is not the last
+        songs = tiny_dataset(n_songs=4)
+        val = [(feat, transpose_annotation(ann, 1)) for feat, ann in songs[2:]]
+        cfg = TrainConfig(epochs=8, seed=0, learning_rate=0.05, validate_every=3,
+                          patch_seconds=5.0)
+        params, history = train(songs[:2], val, cfg, V26)
+        val_losses = [rec["val_loss"] for rec in history if "val_loss" in rec]
+        assert min(val_losses) < val_losses[-1]
+        loss, _ = evaluate(params, val, dataset_frame_ids(val, V26), np.ones(V26.size),
+                           cfg.structured_gamma, V26)
+        assert loss == min(val_losses)
+
+
 class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"shift_probability": 1.5},
@@ -298,3 +360,32 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         feat = ds[0][0]
         assert np.array_equal(predict_frames(loaded, feat), predict_frames(params, feat))
+
+
+class TestPosteriorsFile:
+    def test_round_trip_keeps_time_grid(self, tmp_path):
+        post = np.random.default_rng(0).dirichlet(np.ones(V26.size), size=3)
+        intervals = ((0.0, 0.5), (0.5, 1.25), (1.25, 2.0))
+        save_posteriors(tmp_path / "p.npz", post, manifest_hash(V26), 0.1, intervals)
+        loaded, hop, loaded_intervals = load_posteriors(tmp_path / "p.npz", V26)
+        assert np.array_equal(loaded, post) and hop == 0.1
+        assert np.array_equal(loaded_intervals, np.array(intervals))
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cut=st.one_of(st.none(), st.integers(0, 10_000)), flip=st.integers(0, 80_000))
+    def test_truncated_or_flipped_file(self, tmp_path, cut, flip):
+        """Any damage ends in posteriors or a ChordkitError."""
+        path = tmp_path / "p.npz"
+        post = np.random.default_rng(0).dirichlet(np.ones(V26.size), size=4)
+        save_posteriors(path, post, manifest_hash(V26), 0.1, np.arange(8.0).reshape(4, 2))
+        raw = bytearray(path.read_bytes())
+        if cut is None:
+            raw[flip // 8 % len(raw)] ^= 1 << (flip % 8)
+        else:
+            del raw[cut % len(raw):]
+        path.write_bytes(bytes(raw))
+        try:
+            load_posteriors(path, V26)
+        except ChordkitError:
+            pass

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chordkit import vocab as vocab_mod
-from chordkit.errors import IdOutOfRange
+from chordkit.errors import BadManifest, IdOutOfRange
 from chordkit.harte import format_chord, parse_chord, transpose_label
 from chordkit.vocab import (get_vocabulary, id_info, id_label, load_manifest,
                             manifest_hash, map_label, save_manifest,
@@ -101,6 +101,27 @@ class TestManifest:
         path = tmp_path / "vocab.txt"
         save_manifest(V170, path)
         assert load_manifest(path) == V170
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "chordkit-vocab v1\n",
+        "chordkit-vocabulary v1\nreduce_to_majmin 0\nmaj 0,4,7\n",
+        "chordkit-vocab v2\nreduce_to_majmin 0\nmaj 0,4,7\n",
+        "chordkit-vocab v1\nreduce_to_majmin yes\nmaj 0,4,7\n",
+        "chordkit-vocab v1\nmaj 0,4,7\n",
+        "chordkit-vocab v1\nreduce_to_majmin 0\nmaj\n",
+        "chordkit-vocab v1\nreduce_to_majmin 0\nmaj 0,4,7 extra\n",
+        "chordkit-vocab v1\nreduce_to_majmin 0\nmaj 0,four,7\n",
+        "chordkit-vocab v1\nreduce_to_majmin 0\nmaj 0,4,12\n",
+        "chordkit-vocab v1\nreduce_to_majmin 0\n\n",
+    ], ids=["empty", "header-only", "bad-header", "bad-version", "bad-reduce-value",
+            "no-reduce-line", "quality-without-classes", "quality-extra-field",
+            "quality-non-integer", "quality-out-of-range", "no-quality"])
+    def test_malformed_manifest_rejected(self, tmp_path, text):
+        path = tmp_path / "vocab.txt"
+        path.write_text(text)
+        with pytest.raises(BadManifest):
+            load_manifest(path)
 
     def test_hash_stable(self):
         assert manifest_hash(V170) == manifest_hash(vocabulary_170())
