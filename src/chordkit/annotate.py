@@ -7,14 +7,16 @@ no-chord segments so that annotations tile [0, duration).
 
 from __future__ import annotations
 
+import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import harte
 from .errors import DegenerateSignal, MalformedChord, MalformedLine, NonMonotoneTimes
 from .harte import ChordLabel
+from .metrics import intersect, path_columns, path_from_annotation
 from .vocab import Vocabulary, map_label
 
 DEFAULT_SR = 44100
@@ -97,28 +99,46 @@ def fill_gaps(segments, duration=None) -> Annotation:
     return Annotation(segments=tuple(filled), duration=float(duration))
 
 
+def read_lines(path) -> list[str]:
+    """Lines of a UTF-8 text file, line endings translated as in text mode;
+    bytes that are not UTF-8 raise MalformedLine with their line number."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return io.StringIO(raw.decode("utf-8"), newline=None).readlines()
+    except UnicodeDecodeError as exc:
+        raise MalformedLine(raw.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+
+
+def parse_time(text: str, line_no: int) -> float:
+    """A finite time in seconds read from one field of a text line."""
+    try:
+        t = float(text)
+        if not math.isfinite(t):
+            raise ValueError(f"time {text!r} is not finite")
+    except ValueError as exc:
+        raise MalformedLine(line_no, str(exc)) from None
+    return t
+
+
 def load_annotation(path, duration=None) -> Annotation:
     """Read a lab-style TSV annotation file."""
     segments = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise MalformedLine(line_no, f"expected 3 tab-separated fields, got {len(parts)}")
-            try:
-                start, end = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise MalformedLine(line_no, str(exc)) from None
-            if end <= start or start < 0:
-                raise NonMonotoneTimes(f"line {line_no}: end {end} <= start {start}")
-            try:
-                label = harte.parse_chord(parts[2].strip())
-            except MalformedChord as exc:
-                raise MalformedLine(line_no, str(exc)) from None
-            segments.append((start, end, label))
+    for line_no, line in enumerate(read_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise MalformedLine(line_no, f"expected 3 tab-separated fields, got {len(parts)}")
+        start, end = parse_time(parts[0], line_no), parse_time(parts[1], line_no)
+        if end <= start or start < 0:
+            raise NonMonotoneTimes(f"line {line_no}: end {end} <= start {start}")
+        try:
+            label = harte.parse_chord(parts[2].strip())
+        except MalformedChord as exc:
+            raise MalformedLine(line_no, str(exc)) from None
+        segments.append((start, end, label))
     return fill_gaps(segments, duration=duration)
 
 
@@ -139,17 +159,11 @@ def segment_index(ann: Annotation, times) -> np.ndarray:
     """Index of the segment whose half-open [start, end) holds each time;
     -1 where no segment does."""
     times = np.asarray(times, dtype=np.float64)
-    idx = np.full(len(times), -1, dtype=np.int64)
-    if not ann.segments:
-        return idx
-    starts = np.array([s for s, _, _ in ann.segments])
-    ends = np.array([e for _, e, _ in ann.segments])
-    # the last segment starting at or before t holds t if it has not ended
+    starts, ends = np.array([(s, e) for s, e, _ in ann.segments], dtype=np.float64).reshape(-1, 2).T
+    # the last segment starting at or before t holds t if it has not ended;
+    # before the first start, index -1 reads an end of -inf
     last = np.searchsorted(starts, times, side="right") - 1
-    inside = last >= 0
-    inside[inside] = times[inside] < ends[last[inside]]
-    idx[inside] = last[inside]
-    return idx
+    return np.where(times < np.append(ends, -np.inf)[last], last, -1)
 
 
 def frame_labels(ann: Annotation, grid: FrameGrid, vocab: Vocabulary) -> np.ndarray:
@@ -161,29 +175,27 @@ def frame_labels(ann: Annotation, grid: FrameGrid, vocab: Vocabulary) -> np.ndar
 
 
 def interval_labels(ann: Annotation, intervals, vocab: Vocabulary) -> np.ndarray:
-    """Max-overlap ChordId per (start, end) interval."""
-    ids = np.empty(len(intervals), dtype=np.int64)
-    seg_ids = [(s, e, map_label(lbl, vocab)) for s, e, lbl in ann.segments]
-    for i, (start, end) in enumerate(intervals):
-        overlap: dict[int, float] = {}
-        for s, e, cid in seg_ids:
-            d = min(end, e) - max(start, s)
-            if d > 0:
-                overlap[cid] = overlap.get(cid, 0.0) + d
-        uncovered = (end - start) - sum(overlap.values())
-        if uncovered > 1e-9:
-            overlap[vocab.n_id] = overlap.get(vocab.n_id, 0.0) + uncovered
-        ids[i] = max(overlap.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-    return ids
+    """Max-overlap ChordId per (start, end) interval, intervals in time order;
+    time no segment covers counts as N, and ties go to the lowest id."""
+    bounds = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
+    dur, row, cid = intersect((bounds[:, 0], bounds[:, 1], np.arange(len(bounds))),
+                              path_columns(path_from_annotation(ann, vocab)))
+    overlap = np.zeros((len(bounds), vocab.size))
+    np.add.at(overlap, (row, cid), dur)
+    # covered time adds each interval's class totals in order of first
+    # appearance, the order that fixes its rounding and so the N threshold and ties
+    first = np.sort(np.unique(row * vocab.size + cid, return_index=True)[1])
+    covered = np.bincount(row[first], overlap[row[first], cid[first]], minlength=len(bounds))
+    uncovered = (bounds[:, 1] - bounds[:, 0]) - covered
+    overlap[:, vocab.n_id] += np.where(uncovered > 1e-9, uncovered, 0.0)
+    return np.argmax(overlap, axis=1)
 
 
 def transition_mask(ann: Annotation, grid: FrameGrid) -> np.ndarray:
     """True for frames [i*hop, (i+1)*hop) containing a segment boundary t > 0."""
     mask = np.zeros(grid.n_frames, dtype=bool)
-    for t in ann.boundaries():
-        i = int(t / grid.hop)
-        if 0 <= i < grid.n_frames:
-            mask[i] = True
+    frame = np.array(ann.boundaries(), dtype=np.float64) / grid.hop
+    mask[frame[frame < grid.n_frames].astype(np.int64)] = True
     return mask
 
 

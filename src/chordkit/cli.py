@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from . import __version__, annotate, decode, features, metrics, model, synthgen
 from .errors import ChordkitError
 from .harte import format_chord
 from .metrics import MetricKind
-from .vocab import get_vocabulary, id_label, map_label
+from .vocab import get_vocabulary, id_label
 
 
 def _log(message: str) -> None:
@@ -208,14 +209,13 @@ def cmd_report(args) -> int:
     if not names:
         raise ChordkitError("no matching annotation files between ref and est dirs")
     songs, frame_pairs, per_song = [], [], []
-    grid_hop = args.hop
     for name in names:
         ref_ann = annotate.load_annotation(ref_dir / name)
         est_ann = annotate.load_annotation(est_dir / name, duration=ref_ann.duration)
         ref_path = metrics.path_from_annotation(ref_ann, vocab)
         est_path = metrics.path_from_annotation(est_ann, vocab)
         songs.append((ref_path, est_path))
-        grid = annotate.grid_for(ref_ann.duration, hop=grid_hop)
+        grid = annotate.grid_for(ref_ann.duration, hop=args.hop)
         ref_ids = annotate.frame_labels(ref_ann, grid, vocab)
         est_ids = annotate.frame_labels(est_ann, grid, vocab)
         frame_pairs.append((ref_ids, est_ids))
@@ -259,15 +259,12 @@ def cmd_report(args) -> int:
             for label, row in zip(labels, cm):
                 writer.writerow([label] + [f"{v:.6f}" for v in row])
 
-    lengths = {}
-    for ref_ids, est_ids in frame_pairs:
-        for _, length, _ in decode.incorrect_regions(est_ids, ref_ids):
-            lengths[length] = lengths.get(length, 0) + 1
+    lengths = Counter(length for ref_ids, est_ids in frame_pairs
+                      for _, length, _ in decode.incorrect_regions(est_ids, ref_ids))
     with open(out_dir / "incorrect_region_lengths.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["length", "count"])
-        for length in sorted(lengths):
-            writer.writerow([length, lengths[length]])
+        writer.writerows(sorted(lengths.items()))
 
     _write_manifest(out_dir, "report", args, names,
                     ["per_song.csv", "report.json", "confusion_quality.csv",
@@ -306,22 +303,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, out=True):
-        p.add_argument("--vocab", type=int, default=170, choices=(170, 26))
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--hop", type=float, default=annotate.DEFAULT_HOP)
-        if out:
-            p.add_argument("--out", required=True)
+    def flag(*names, **kwargs):
+        """A parent parser holding one flag that several subcommands read."""
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    add_common(p)
+    vocab = flag("--vocab", type=int, default=170, choices=(170, 26))
+    seed = flag("--seed", type=int, default=0)
+    hop = flag("--hop", type=float, default=annotate.DEFAULT_HOP)
+    out = flag("--out", required=True)
+
+    p = sub.add_parser("synth", parents=[seed, hop, out], help="generate a synthetic dataset")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--duration", type=float, default=30.0)
     p.add_argument("--noise", type=float, default=0.0, help="noise sigma in dB")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train a frame-wise classifier")
-    add_common(p)
+    p = sub.add_parser("train", parents=[vocab, seed, out], help="train a frame-wise classifier")
     p.add_argument("--data", required=True)
     p.add_argument("--arch", default="logistic", choices=("logistic", "hidden"))
     p.add_argument("--hidden-units", type=int, default=64)
@@ -335,8 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift-prob", type=float, default=0.0)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="predict frame- or beat-wise labels")
-    add_common(p)
+    p = sub.add_parser("predict", parents=[vocab, out], help="predict frame- or beat-wise labels")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--beat-file")
@@ -345,36 +343,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ann", help="annotation file (required for --beat-division perfect)")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("smooth", help="HMM-smooth a saved posteriorgram")
-    add_common(p)
+    p = sub.add_parser("smooth", parents=[vocab, out], help="HMM-smooth a saved posteriorgram")
     p.add_argument("--post", required=True)
     p.add_argument("--beta", type=float, default=0.15)
     p.add_argument("--max-marginal", action="store_true")
     p.set_defaults(func=cmd_smooth)
 
-    p = sub.add_parser("eval", help="WCSR between two annotation files")
-    add_common(p, out=False)
+    p = sub.add_parser("eval", parents=[vocab], help="WCSR between two annotation files")
     p.add_argument("--ref", required=True)
     p.add_argument("--est", required=True)
     p.add_argument("--metric", default="acc",
                    choices=[k.value for k in MetricKind])
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("report", help="full evaluation report over a directory")
-    add_common(p)
+    p = sub.add_parser("report", parents=[vocab, hop, out],
+                       help="full evaluation report over a directory")
     p.add_argument("--ref-dir", required=True)
     p.add_argument("--est-dir", required=True)
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("augment", help="pitch-shift a feature/annotation pair")
-    add_common(p)
+    p = sub.add_parser("augment", parents=[out], help="pitch-shift a feature/annotation pair")
     p.add_argument("--features", required=True)
     p.add_argument("--ann", required=True)
     p.add_argument("--shift", type=int, required=True)
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("check-align", help="feature/annotation alignment lag")
-    add_common(p, out=False)
     p.add_argument("--features", required=True)
     p.add_argument("--ann", required=True)
     p.add_argument("--window", type=int, default=50)

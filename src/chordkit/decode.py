@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySequence, LengthMismatch
+from .metrics import run_edges
 
 PROB_FLOOR = 1e-12
 
@@ -109,10 +110,9 @@ def _max_marginal_path(post: np.ndarray, cfg: DecoderConfig) -> np.ndarray:
 
 def count_transitions(ids) -> int:
     """Number of indices where the label differs from its predecessor."""
-    ids = list(ids)
-    if not ids:
+    if len(ids) == 0:
         raise EmptySequence("empty id sequence")
-    return sum(1 for a, b in zip(ids, ids[1:]) if a != b)
+    return len(run_edges(ids)) - 2
 
 
 def incorrect_regions(pred, truth) -> list[tuple[int, int, int]]:
@@ -120,18 +120,11 @@ def incorrect_regions(pred, truth) -> list[tuple[int, int, int]]:
 
     Returns (start_index, length, predicted_id) triples in order.
     """
-    pred, truth = list(pred), list(truth)
+    pred, truth = np.asarray(pred), np.asarray(truth)
     if len(pred) != len(truth):
         raise LengthMismatch(f"pred has {len(pred)} frames, truth {len(truth)}")
-    regions = []
-    start = None
-    for i, (p, t) in enumerate(zip(pred, truth)):
-        wrong = p != t
-        if start is not None and (not wrong or p != pred[start]):
-            regions.append((start, i - start, pred[start]))
-            start = None
-        if wrong and start is None:
-            start = i
-    if start is not None:
-        regions.append((start, len(pred) - start, pred[start]))
-    return regions
+    wrong = pred != truth
+    edges = run_edges(pred, wrong)
+    starts, lengths = edges[:-1], np.diff(edges)
+    keep = wrong[starts]
+    return list(zip(starts[keep].tolist(), lengths[keep].tolist(), pred[starts[keep]].tolist()))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import harte
-from .annotate import Annotation, FrameGrid, segment_index
+from .annotate import Annotation, FrameGrid, parse_time, read_lines, segment_index
 from .errors import (BadBinConfig, BadHeader, BadMagic, EmptyBeatList, NonFiniteFeatures,
                      TruncatedPayload, VersionMismatch)
 
@@ -189,13 +189,9 @@ class BeatIntervals:
 
 
 def load_beats(path) -> list[float]:
-    """Beat times, one float per line, strictly increasing."""
-    times = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                times.append(float(line))
+    """Beat times, one finite float per line, strictly increasing."""
+    times = [parse_time(line.strip(), line_no)
+             for line_no, line in enumerate(read_lines(path), start=1) if line.strip()]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise EmptyBeatList("beat times not strictly increasing")
     return times
@@ -249,24 +245,20 @@ def beat_pool(feat: FeatureMatrix, beats: BeatIntervals) -> tuple[FeatureMatrix,
     non-empty row when there is no preceding one).
     """
     centers = feat.grid().centers()
-    pooled = np.full((len(beats.intervals), feat.n_bins), feat.floor_db, dtype=np.float64)
-    filled = np.zeros(len(beats.intervals), dtype=bool)
-    for i, (start, end) in enumerate(beats.intervals):
-        mask = (centers >= start) & (centers < end)
-        if mask.any():
-            pooled[i] = feat.data[mask].mean(axis=0)
-            filled[i] = True
-    if not filled.any():
+    # frames lo..hi-1 have their centers in [start, end)
+    lo, hi = np.searchsorted(centers, np.array(beats.intervals, dtype=np.float64)).T
+    count = hi - lo
+    if not count.any():
         raise EmptyBeatList("no interval contains a frame center")
-    # forward-fill, then back-fill any leading empties
-    last = None
-    for i in range(len(filled)):
-        if filled[i]:
-            last = i
-        elif last is not None:
-            pooled[i] = pooled[last]
-    first = int(np.argmax(filled))
-    pooled[:first] = pooled[first]
-    out = FeatureMatrix(data=pooled.astype(np.float32), hop=feat.hop,
+    # add each interval's rows to 0.0 in frame order, as mean(axis=0) does
+    owner = np.repeat(np.arange(len(count)), count)
+    frame = np.arange(len(owner)) + (lo - np.cumsum(count) + count)[owner]
+    sums = np.zeros((len(count), feat.n_bins), dtype=feat.data.dtype)
+    np.add.at(sums, owner, feat.data[frame])
+    means = sums / np.maximum(count, 1)[:, None]
+    # an empty interval takes the last filled row before it, else the first
+    filled = count > 0
+    source = np.maximum.accumulate(np.where(filled, np.arange(len(count)), np.argmax(filled)))
+    out = FeatureMatrix(data=means[source].astype(np.float32), hop=feat.hop,
                         bins_per_octave=feat.bins_per_octave, floor_db=feat.floor_db)
     return out, beats

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import IdOutOfRange, LengthMismatch, ZeroDefinedTime
 from .harte import PITCH_NAMES
-from .vocab import Vocabulary, check_ids
+from .vocab import Vocabulary, check_ids, map_label
 
 
 class MetricKind(enum.Enum):
@@ -47,21 +47,26 @@ class TimedPath:
         return self.intervals[-1][1] if self.intervals else 0.0
 
 
+def run_edges(*keys) -> np.ndarray:
+    """Edges of the maximal runs over which every key stays equal: 0, each
+    index where any key differs from its predecessor, then the length, so
+    run r covers [edges[r], edges[r + 1]). Keys are equal-length 1-D sequences."""
+    keys = [np.asarray(key) for key in keys]
+    edge = np.ones(len(keys[0]) + 1, dtype=bool)
+    edge[1:-1] = np.any([key[1:] != key[:-1] for key in keys], axis=0)
+    return np.flatnonzero(edge)
+
+
 def path_from_frames(ids, hop: float) -> TimedPath:
     """TimedPath from per-frame ids with frame i covering [i*hop, (i+1)*hop)."""
-    intervals = []
-    ids = list(ids)
-    start = 0
-    for i in range(1, len(ids) + 1):
-        if i == len(ids) or ids[i] != ids[start]:
-            intervals.append((start * hop, i * hop, int(ids[start])))
-            start = i
-    return TimedPath(intervals=tuple(intervals))
+    ids = np.asarray(ids)
+    edges = run_edges(ids)
+    starts, ends = edges[:-1], edges[1:]
+    return TimedPath(intervals=tuple(zip((starts * hop).tolist(), (ends * hop).tolist(),
+                                         ids[starts].astype(np.int64).tolist())))
 
 
 def path_from_annotation(ann, vocab: Vocabulary) -> TimedPath:
-    from .vocab import map_label  # local import to keep module deps one-way
-
     return TimedPath(intervals=tuple(
         (start, end, map_label(label, vocab)) for start, end, label in ann.segments
     ))
@@ -74,19 +79,21 @@ def compare_labels(kind: MetricKind, ref: int, est: int, vocab: Vocabulary) -> V
     return Verdict(int(vocab.tables.verdicts[kind.value][ref, est]))
 
 
-def _columns(path: TimedPath):
+def path_columns(path: TimedPath):
+    """(start, end, id) arrays of a path's intervals."""
     table = np.array(path.intervals, dtype=np.float64).reshape(-1, 3)
     return table[:, 0], table[:, 1], table[:, 2].astype(np.int64)
 
 
-def _intersect(ref: TimedPath, est: TimedPath):
-    """(duration, ref_id, est_id) arrays over the common refinement, in time order.
+def intersect(ref, est):
+    """(duration, ref_id, est_id) arrays over the common refinement of two
+    timelines, each a (start, end, id) column triple in time order.
 
     Each piece between consecutive interval edges takes the intervals holding
-    its midpoint; a piece in a gap of either path, or past its end, is dropped.
+    its midpoint; a piece in a gap of either timeline, or past its end, is dropped.
     """
-    r_start, r_end, r_id = _columns(ref)
-    e_start, e_end, e_id = _columns(est)
+    r_start, r_end, r_id = ref
+    e_start, e_end, e_id = est
     edges = np.unique(np.concatenate([r_start, r_end, e_start, e_end]))
     start, end = edges[:-1], edges[1:]
     mid = (start + end) / 2
@@ -103,7 +110,8 @@ _NO_PIECES = (np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int
 def _defined_pieces(kind: MetricKind, songs, vocab: Vocabulary):
     """(duration, ref_id, correct) of every piece where the comparator is
     defined, all songs in time order."""
-    columns = zip(_NO_PIECES, *(_intersect(ref, est) for ref, est in songs))
+    pieces = (intersect(path_columns(ref), path_columns(est)) for ref, est in songs)
+    columns = zip(_NO_PIECES, *pieces)
     dur, ref, est = (np.concatenate(column) for column in columns)
     verdict = vocab.tables.verdicts[kind.value][check_ids(ref, vocab), check_ids(est, vocab)]
     defined = verdict >= 0

@@ -20,13 +20,19 @@ import numpy as np
 from .annotate import Annotation
 from .errors import MissingQuality
 from .harte import ChordKind, ChordLabel
-from .vocab import Vocabulary, id_info
+from .vocab import Vocabulary
 
 RATIO_EPS = 1e-6
 
 # Scale-degree root offsets (semitones above the tonic). The rule graph is
 # shared by both modes; mode changes only the degree quality distributions.
 DEGREE_OFFSETS = {"I": 0, "ii": 2, "iii": 4, "IV": 5, "V": 7, "vi": 9}
+
+# Progression length in chords, tempo distribution and bar layout.
+MIN_LENGTH, MAX_LENGTH = 4, 10
+BPM_MEAN, BPM_SD, BPM_CLIP = 117.0, 27.0, (60.0, 220.0)
+BEATS_PER_BAR = 4
+BARS_PER_CHORD = 1
 
 RULE_GRAPH = {
     "I": (("ii", 0.3), ("IV", 0.3), ("vi", 0.3), ("iii", 0.1)),
@@ -65,13 +71,6 @@ DEGREE_QUALITIES = {
 
 @dataclass(frozen=True)
 class ProgressionConfig:
-    min_length: int = 4
-    max_length: int = 10
-    bpm_mean: float = 117.0
-    bpm_sd: float = 27.0
-    bpm_clip: tuple[float, float] = (60.0, 220.0)
-    beats_per_bar: int = 4
-    bars_per_chord: int = 1
     duration: float = 30.0
 
 
@@ -89,7 +88,7 @@ def sample_progression(cfg: ProgressionConfig, rng: np.random.Generator) -> list
     quality_table = DEGREE_QUALITIES[mode]
     degree_quality = {deg: _choose(rng, dist) for deg, dist in quality_table.items()}
 
-    length = int(rng.integers(cfg.min_length, cfg.max_length + 1))
+    length = int(rng.integers(MIN_LENGTH, MAX_LENGTH + 1))
     degree = "I"
     chords = []
     for _ in range(length):
@@ -109,8 +108,8 @@ def realize_timing(chords: list[ChordLabel], cfg: ProgressionConfig,
     cfg.duration seconds."""
     if not chords:
         raise ValueError("empty chord list")
-    bpm = float(np.clip(rng.normal(cfg.bpm_mean, cfg.bpm_sd), *cfg.bpm_clip))
-    bar = cfg.bars_per_chord * cfg.beats_per_bar * 60.0 / bpm
+    bpm = float(np.clip(rng.normal(BPM_MEAN, BPM_SD), *BPM_CLIP))
+    bar = BARS_PER_CHORD * BEATS_PER_BAR * 60.0 / bpm
     segments = []
     t, i = 0.0, 0
     while t < cfg.duration - 1e-9:

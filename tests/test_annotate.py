@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chordkit import annotate, harte
 from chordkit.annotate import (DEFAULT_HOP, Annotation, FrameGrid,
@@ -9,7 +11,7 @@ from chordkit.annotate import (DEFAULT_HOP, Annotation, FrameGrid,
                                frame_labels, grid_for, interval_labels,
                                load_annotation, n_frames_for, save_annotation,
                                transition_mask, transpose_annotation)
-from chordkit.errors import (DegenerateSignal, MalformedLine,
+from chordkit.errors import (ChordkitError, DegenerateSignal, MalformedLine,
                              NonMonotoneTimes)
 from chordkit.harte import parse_chord
 from chordkit.vocab import vocabulary_170
@@ -95,6 +97,49 @@ class TestFileIO:
         path.write_text("1.0\t0.5\tC:maj\n", encoding="utf-8")
         with pytest.raises(NonMonotoneTimes):
             load_annotation(path)
+
+    @pytest.mark.parametrize("start, end", [("1.0", "nan"), ("1.0", "inf"), ("nan", "2.0"),
+                                            ("-inf", "2.0"), ("inf", "inf")])
+    def test_non_finite_time_reported_with_line(self, tmp_path, start, end):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"0.0\t1.0\tC:maj\n{start}\t{end}\tG:maj\n", encoding="utf-8")
+        with pytest.raises(MalformedLine) as exc:
+            load_annotation(path)
+        assert exc.value.line_no == 2
+
+    def test_invalid_utf8_reported_with_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"0.0\t1.0\tC:maj\n1.0\t2.0\tG:maj\n2.0\t3.0\t\xff\n")
+        with pytest.raises(MalformedLine) as exc:
+            load_annotation(path)
+        assert exc.value.line_no == 3
+
+    def test_line_endings_as_in_text_mode(self, tmp_path):
+        path = tmp_path / "crlf.tsv"
+        path.write_bytes(b"0.0\t1.0\tC:maj\r\n1.0\t2.0\tG:maj\r1.0\t0.5\tC:maj")
+        with pytest.raises(NonMonotoneTimes, match="line 3"):
+            load_annotation(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cut=st.one_of(st.none(), st.integers(0, 200)), flip=st.integers(0, 8 * 200))
+    def test_truncated_or_flipped_file(self, tmp_path, cut, flip):
+        """Any damage ends in finite segment times or a ChordkitError."""
+        path = tmp_path / "song.tsv"
+        save_annotation(make_ann([(0.0, 1.5, "C:maj"), (1.5, 2.25, "A:hdim7/5"),
+                                  (3.0, 4.125, "G:7(b9)"), (4.125, 6.0, "N")]), path)
+        raw = bytearray(path.read_bytes())
+        if cut is None:
+            raw[flip // 8 % len(raw)] ^= 1 << (flip % 8)
+        else:
+            del raw[cut % len(raw):]
+        path.write_bytes(bytes(raw))
+        try:
+            ann = load_annotation(path)
+        except ChordkitError:
+            return
+        assert all(math.isfinite(t) for s, e, _ in ann.segments for t in (s, e))
+        assert math.isfinite(ann.duration)
 
 
 class TestFrameLabels:

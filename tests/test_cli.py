@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from chordkit import errors
 from chordkit.cli import main
 
 
@@ -289,6 +290,32 @@ class TestLoaderFailures:
         assert run(["smooth", "--post", tmp_path / "post.npz", "--out", tmp_path / "s"]) == 1
         assert _one_json_error(capsys)["error"] == "VocabularyMismatch"
 
+    @pytest.mark.parametrize("line", [b"nan", b"inf", b"abc", b"\xff\xfe"])
+    def test_predict_rejects_bad_beat_line(self, dataset, trained, tmp_path, capsys, line):
+        beats = tmp_path / "beats.txt"
+        beats.write_bytes(b"0.5\n1.0\n" + line + b"\n2.0\n")
+        capsys.readouterr()
+        assert run(["predict", "--model", trained / "model.npz",
+                    "--features", dataset / "song_0000.cqtf", "--beat-file", beats,
+                    "--out", tmp_path / "pred"]) == 1
+        err = _one_json_error(capsys)
+        assert err["error"] == "MalformedLine" and err["message"].startswith("line 3:")
+        assert issubclass(getattr(errors, err["error"]), errors.ChordkitError)
+        assert not (tmp_path / "pred" / "labels.tsv").exists()
+
+    @pytest.mark.parametrize("tail", [b"1.0\tnan\tG:maj\n", b"1.0\tinf\tG:maj\n",
+                                      b"1.0\t2.0\tG:\xe9\n"])
+    @pytest.mark.parametrize("side", ["ref", "est"])
+    def test_eval_rejects_bad_annotation(self, dataset, tmp_path, capsys, tail, side):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"0.0\t1.0\tC:maj\n" + tail)
+        files = {"ref": dataset / "song_0000.tsv", "est": dataset / "song_0000.tsv", side: bad}
+        capsys.readouterr()
+        assert run(["eval", "--ref", files["ref"], "--est", files["est"]]) == 1
+        err = _one_json_error(capsys)
+        assert err["error"] == "MalformedLine" and err["message"].startswith("line 2:")
+        assert issubclass(getattr(errors, err["error"]), errors.ChordkitError)
+
 
 class TestReport:
     def test_report_outputs(self, dataset, tmp_path):
@@ -373,6 +400,19 @@ class TestArgErrors:
     def test_missing_required_arg_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--ref", "a.tsv"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["smooth", "--post", "p.npz", "--out", "o", "--hop", "0.1"],
+        ["predict", "--model", "m.npz", "--features", "f.cqtf", "--out", "o", "--seed", "1"],
+        ["eval", "--ref", "a.tsv", "--est", "b.tsv", "--hop", "0.1"],
+        ["augment", "--features", "f.cqtf", "--ann", "a.tsv", "--shift", "1", "--out", "o",
+         "--vocab", "26"],
+        ["check-align", "--features", "f.cqtf", "--ann", "a.tsv", "--seed", "1"],
+    ], ids=["smooth-hop", "predict-seed", "eval-hop", "augment-vocab", "check-align-seed"])
+    def test_flag_the_subcommand_does_not_read_exits_two(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2
 
     def test_missing_file_exits_one(self, capsys):

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -6,8 +7,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chordkit.annotate import DEFAULT_HOP, FrameGrid, fill_gaps, grid_for
 from chordkit.errors import (BadBinConfig, BadHeader, BadMagic, ChordkitError,
-                             EmptyBeatList, NonFiniteFeatures, TruncatedPayload,
-                             VersionMismatch)
+                             EmptyBeatList, MalformedLine, NonFiniteFeatures,
+                             TruncatedPayload, VersionMismatch)
 from chordkit.features import (BeatIntervals, FeatureMatrix, RenderParams,
                                beat_intervals, beat_pool, bin_pitch_classes,
                                load_beats, load_features, perfect_intervals,
@@ -270,6 +271,35 @@ class TestBeatIntervals:
         path.write_text("0.5\n0.5\n", encoding="utf-8")
         with pytest.raises(EmptyBeatList):
             load_beats(path)
+
+    @pytest.mark.parametrize("line", [b"nan", b"inf", b"-inf", b"abc", b"1.0 2.0", b"\xff"])
+    def test_load_rejects_bad_line_with_number(self, tmp_path, line):
+        path = tmp_path / "beats.txt"
+        path.write_bytes(b"0.5\n\n1.0\n" + line + b"\n")
+        with pytest.raises(MalformedLine) as exc:
+            load_beats(path)
+        assert exc.value.line_no == 4
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cut=st.one_of(st.none(), st.integers(0, 64)), flip=st.integers(0, 8 * 64))
+    def test_truncated_or_flipped_file(self, tmp_path, cut, flip):
+        """Any damage ends in finite, increasing beat times or a ChordkitError."""
+        path = tmp_path / "beats.txt"
+        path.write_text("0.250000\n0.731500\n1.210000\n1.702250\n2.190000\n",
+                        encoding="utf-8")
+        raw = bytearray(path.read_bytes())
+        if cut is None:
+            raw[flip // 8 % len(raw)] ^= 1 << (flip % 8)
+        else:
+            del raw[cut % len(raw):]
+        path.write_bytes(bytes(raw))
+        try:
+            beats = load_beats(path)
+        except ChordkitError:
+            return
+        assert all(math.isfinite(b) for b in beats)
+        assert all(a < b for a, b in zip(beats, beats[1:]))
 
     def test_division_one_prepends_head(self):
         bi = beat_intervals([0.5, 1.0, 1.5], "1")

@@ -361,6 +361,24 @@ class TestCheckpoint:
         feat = ds[0][0]
         assert np.array_equal(predict_frames(loaded, feat), predict_frames(params, feat))
 
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cut=st.one_of(st.none(), st.integers(0, 20_000)), flip=st.integers(0, 160_000))
+    def test_truncated_or_flipped_file(self, tmp_path, cut, flip):
+        """Any damage ends in a checkpoint or a ChordkitError."""
+        path = tmp_path / "model.npz"
+        save_checkpoint(init_params("hidden", 8, V26, hidden_units=4, context=2, seed=9), path)
+        raw = bytearray(path.read_bytes())
+        if cut is None:
+            raw[flip // 8 % len(raw)] ^= 1 << (flip % 8)
+        else:
+            del raw[cut % len(raw):]
+        path.write_bytes(bytes(raw))
+        try:
+            load_checkpoint(path)
+        except ChordkitError:
+            pass
+
 
 class TestPosteriorsFile:
     def test_round_trip_keeps_time_grid(self, tmp_path):
