@@ -211,7 +211,11 @@ def cmd_report(args) -> int:
     songs, frame_pairs, per_song = [], [], []
     for name in names:
         ref_ann = annotate.load_annotation(ref_dir / name)
-        est_ann = annotate.load_annotation(est_dir / name, duration=ref_ann.duration)
+        # an estimate ending early reads as N to the reference's end; one
+        # running past it is scored over the reference's span, as in eval
+        est_ann = annotate.load_annotation(est_dir / name)
+        est_ann = annotate.fill_gaps(est_ann.segments,
+                                     duration=max(ref_ann.duration, est_ann.duration))
         ref_path = metrics.path_from_annotation(ref_ann, vocab)
         est_path = metrics.path_from_annotation(est_ann, vocab)
         songs.append((ref_path, est_path))

@@ -5,6 +5,21 @@ with a homogeneous transition matrix: self-transition probability beta on
 the diagonal and (1 - beta) / (C - 1) elsewhere, uniform initial
 distribution. A posterior (max-marginal) decoding variant is available as a
 non-default option.
+
+Because every off-diagonal entry is equal, each frame of the recursion costs
+a few O(C) array operations. Let b be the previous frame's best state
+(``argmax``, so ties go to the lowest id):
+
+- beta >= 1/C (staying is at least as likely as any one move; the CLI
+  default 0.15 with 170 or 26 classes): every state either stays or moves
+  from b, and b itself always stays.
+- beta < 1/C: every state other than b either stays or moves from b; b
+  weighs staying against moving from the runner-up, the best state other
+  than b.
+
+A state stays when staying scores at least as well as moving. The decoder
+keeps a ``[T, C]`` bool table of who stayed, plus b (and the runner-up when
+beta < 1/C) per frame, and backtracks through them.
 """
 
 from __future__ import annotations
@@ -52,37 +67,48 @@ def viterbi_smooth(post: np.ndarray, cfg: DecoderConfig) -> np.ndarray:
     n_frames, n_states = post.shape
 
     score = log_post[0].copy()  # uniform initial distribution adds a constant
-    backptr = np.zeros((n_frames, n_states), dtype=np.int64)
-    states = np.arange(n_states)
+    prev = np.empty_like(score)  # the previous frame's scores; the buffers swap each frame
+    stayed = np.zeros((n_frames, n_states), dtype=bool)
+    best = np.zeros(n_frames, dtype=np.int64)
+    runner_up = np.zeros(n_frames, dtype=np.int64)
     for t in range(1, n_frames):
-        # the best off-diagonal predecessor of state s is the globally best
-        # previous state, or the runner-up when that state is s itself
-        order = np.argsort(score)
-        best, second = int(order[-1]), int(order[-2])
-        move_from = np.where(states == best, second, best)
-        stay = score + log_self
-        move = score[move_from] + log_off
-        take_stay = stay >= move
-        backptr[t] = np.where(take_stay, states, move_from)
-        score = np.where(take_stay, stay, move) + log_post[t]
+        prev, score = score, prev
+        b = best[t] = prev.argmax()
+        move = prev[b] + log_off
+        np.add(prev, log_self, out=score)
+        np.greater_equal(score, move, out=stayed[t])
+        np.maximum(score, move, out=score)
+        if log_self < log_off:
+            # moving may beat staying for b too, but b cannot move from
+            # itself: it moves from the runner-up
+            stay = prev[b] + log_self
+            prev[b] = -np.inf
+            r = runner_up[t] = prev.argmax()
+            move = prev[r] + log_off
+            stayed[t, b] = stay >= move
+            score[b] = max(stay, move)
+        score += log_post[t]
 
     path = np.zeros(n_frames, dtype=np.int64)
-    path[-1] = int(np.argmax(score))
+    state = path[-1] = score.argmax()
     for t in range(n_frames - 1, 0, -1):
-        path[t - 1] = backptr[t, path[t]]
+        if not stayed[t, state]:
+            state = runner_up[t] if state == best[t] else best[t]
+        path[t - 1] = state
     return path
 
 
 def path_log_score(path, post: np.ndarray, cfg: DecoderConfig) -> float:
     """Log score of a state path under the smoothing model (up to the
     constant uniform-initial term)."""
-    log_post = np.log(np.maximum(np.asarray(post, dtype=np.float64), PROB_FLOOR))
+    path = np.asarray(path, dtype=np.int64)
+    emitted = np.asarray(post, dtype=np.float64)[np.arange(len(path)), path]
     log_self, log_off = _log_transitions(cfg)
-    score = log_post[0, path[0]]
-    for t in range(1, len(path)):
-        score += log_self if path[t] == path[t - 1] else log_off
-        score += log_post[t, path[t]]
-    return float(score)
+    # [lp_0, tr_1, lp_1, tr_2, ...] summed left to right, as a running total adds
+    terms = np.empty(2 * len(path) - 1)
+    terms[0::2] = np.log(np.maximum(emitted, PROB_FLOOR))
+    terms[1::2] = np.where(path[1:] == path[:-1], log_self, log_off)
+    return float(np.cumsum(terms)[-1])
 
 
 def _max_marginal_path(post: np.ndarray, cfg: DecoderConfig) -> np.ndarray:

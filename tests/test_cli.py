@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -331,6 +332,28 @@ class TestReport:
         assert (out / "confusion_quality.csv").exists()
         assert (out / "confusion_root.csv").exists()
         assert (out / "incorrect_region_lengths.csv").exists()
+
+    def test_report_scores_predict_labels_like_eval(self, dataset, trained, tmp_path, capsys):
+        est = tmp_path / "est"
+        est.mkdir()
+        for cqtf in sorted(dataset.glob("*.cqtf")):
+            pred = tmp_path / cqtf.stem
+            assert run(["predict", "--model", trained / "model.npz", "--features", cqtf,
+                        "--out", pred]) == 0
+            (est / f"{cqtf.stem}.tsv").write_bytes((pred / "labels.tsv").read_bytes())
+        # frame-wise labels end at n_frames * hop, past the 10 s reference
+        last_end = float((est / "song_0000.tsv").read_text().splitlines()[-1].split("\t")[1])
+        assert last_end > 10.0
+        out = tmp_path / "report"
+        assert run(["report", "--ref-dir", dataset, "--est-dir", est, "--out", out]) == 0
+        with open(out / "per_song.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 6
+        for row in rows:
+            capsys.readouterr()
+            assert run(["eval", "--ref", dataset / row["song"], "--est", est / row["song"],
+                        "--metric", "root"]) == 0
+            assert capsys.readouterr().out.strip() == f"{float(row['root']):.1f}"
 
 
 class TestAugment:

@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chordkit.decode import (DecoderConfig, count_transitions,
+from chordkit.decode import (PROB_FLOOR, DecoderConfig, _log_transitions, count_transitions,
                              incorrect_regions, path_log_score, viterbi_smooth)
 from chordkit.errors import EmptySequence, LengthMismatch
 
@@ -13,10 +14,71 @@ def brute_force_best(post, cfg):
     n_frames, n_states = post.shape
     best_path, best_score = None, -np.inf
     for path in itertools.product(range(n_states), repeat=n_frames):
-        score = path_log_score(path, post, cfg)
+        score = reference_path_log_score(path, post, cfg)
         if score > best_score:
             best_score, best_path = score, path
     return np.array(best_path), best_score
+
+
+# --- references: the per-frame argsort recursion and the per-frame score
+# loop the decoder replaced ---
+
+
+def reference_viterbi(post, cfg):
+    """(path, tied): ``tied`` is True when some frame's best score, or its
+    runner-up when beta < 1/C, was shared, so the argsort broke a tie."""
+    log_post = np.log(np.maximum(post, PROB_FLOOR))
+    log_self, log_off = _log_transitions(cfg)
+    n_frames, n_states = post.shape
+    score = log_post[0].copy()
+    backptr = np.zeros((n_frames, n_states), dtype=np.int64)
+    states = np.arange(n_states)
+    tied = False
+    for t in range(1, n_frames):
+        order = np.argsort(score)
+        best, second = int(order[-1]), int(order[-2])
+        ranked = score[order]
+        tied |= ranked[-1] == ranked[-2]
+        tied |= bool(log_self < log_off and n_states > 2 and ranked[-2] == ranked[-3])
+        move_from = np.where(states == best, second, best)
+        stay = score + log_self
+        move = score[move_from] + log_off
+        take_stay = stay >= move
+        backptr[t] = np.where(take_stay, states, move_from)
+        score = np.where(take_stay, stay, move) + log_post[t]
+    path = np.zeros(n_frames, dtype=np.int64)
+    path[-1] = int(np.argmax(score))
+    for t in range(n_frames - 1, 0, -1):
+        path[t - 1] = backptr[t, path[t]]
+    return path, tied
+
+
+def reference_path_log_score(path, post, cfg):
+    log_post = np.log(np.maximum(np.asarray(post, dtype=np.float64), PROB_FLOOR))
+    log_self, log_off = _log_transitions(cfg)
+    score = log_post[0, path[0]]
+    for t in range(1, len(path)):
+        score += log_self if path[t] == path[t - 1] else log_off
+        score += log_post[t, path[t]]
+    return float(score)
+
+
+def random_posteriors(rng, n_frames, n_states, zeros, decimals):
+    """Dirichlet rows; optionally some exact zeros (floored by the decoder)
+    and rounding, which makes equal scores and so ties common."""
+    post = rng.dirichlet(np.full(n_states, 0.3), size=n_frames)
+    if zeros:
+        post[rng.random(post.shape) < 0.3] = 0.0
+    if decimals is not None:
+        post = np.round(post, decimals)
+    return post
+
+
+def beta_for(regime, frac, n_states):
+    """A self-transition probability below, equal to or above 1/C."""
+    uniform = 1.0 / n_states
+    return {"below": uniform * frac, "equal": uniform,
+            "above": uniform + (1.0 - uniform) * frac}[regime]
 
 
 class TestConfig:
@@ -95,6 +157,59 @@ class TestViterbi:
             viterbi_smooth(np.zeros((0, 3)), cfg)
         with pytest.raises(LengthMismatch):
             viterbi_smooth(np.ones((4, 2)) / 2, cfg)
+
+    @pytest.mark.parametrize("post, beta, expected", [
+        # beta >= 1/C: states 0 and 1 share the best score; the move into
+        # state 2 comes from the lowest id
+        ([[0.45, 0.45, 0.1], [0.0, 0.0, 1.0]], 0.5, [0, 2]),
+        # beta < 1/C: state 0 is best and moves from the runner-up, shared
+        # by states 1 and 2
+        ([[0.5, 0.25, 0.25], [1.0, 0.0, 0.0]], 0.1, [1, 0]),
+        # the last frame's best score is shared
+        ([[0.4, 0.3, 0.3], [0.1, 0.45, 0.45]], 0.5, [1, 1]),
+    ])
+    def test_ties_go_to_the_lowest_id(self, post, beta, expected):
+        post = np.array(post)
+        cfg = DecoderConfig(beta=beta, n_classes=post.shape[1])
+        assert list(viterbi_smooth(post, cfg)) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(n_states=st.sampled_from([2, 3, 4, 5, 6, 7, 8, 26, 170]),
+           n_frames=st.integers(1, 300),
+           regime=st.sampled_from(["below", "equal", "above"]),
+           frac=st.floats(0.02, 0.98),
+           zeros=st.booleans(), decimals=st.one_of(st.none(), st.integers(1, 3)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_argsort_recursion(self, n_states, n_frames, regime, frac, zeros,
+                                       decimals, seed):
+        rng = np.random.default_rng(seed)
+        post = random_posteriors(rng, n_frames, n_states, zeros, decimals)
+        cfg = DecoderConfig(beta=beta_for(regime, frac, n_states), n_classes=n_states)
+        path = viterbi_smooth(post, cfg)
+        expected, tied = reference_viterbi(post, cfg)
+        if not tied:
+            assert np.array_equal(path, expected)
+        assert path_log_score(path, post, cfg) == \
+            pytest.approx(path_log_score(expected, post, cfg), abs=1e-9)
+
+
+class TestPathLogScore:
+    @settings(max_examples=300, deadline=None)
+    @given(n_states=st.integers(2, 30), n_frames=st.integers(1, 300),
+           beta=st.floats(0.01, 0.99), zeros=st.booleans(), stay=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_frame_loop(self, n_states, n_frames, beta, zeros, stay, seed):
+        rng = np.random.default_rng(seed)
+        post = random_posteriors(rng, n_frames, n_states, zeros, None)
+        cfg = DecoderConfig(beta=beta, n_classes=n_states)
+        # runs of repeated states mix both transition terms
+        path = rng.integers(0, n_states, size=n_frames)
+        repeat = np.flatnonzero(rng.random(n_frames - 1) < stay) + 1
+        for t in repeat:
+            path[t] = path[t - 1]
+        as_list = path.tolist()
+        assert path_log_score(as_list, post, cfg) == reference_path_log_score(as_list, post, cfg)
+        assert path_log_score(path, post, cfg) == reference_path_log_score(path, post, cfg)
 
 
 class TestMaxMarginal:
