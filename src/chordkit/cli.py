@@ -188,16 +188,17 @@ def cmd_smooth(args) -> int:
     return 0
 
 
-def _path_from_lab(path, vocab):
-    ann = annotate.load_annotation(path)
-    return metrics.path_from_annotation(ann, vocab)
+def _scored_pair(ref_ann, est_ann, vocab):
+    """(reference, estimate) paths, the estimate adjusted to the reference's span."""
+    ref = metrics.path_from_annotation(ref_ann, vocab)
+    return ref, metrics.adjust_estimate(ref, metrics.path_from_annotation(est_ann, vocab), vocab)
 
 
 def cmd_eval(args) -> int:
     vocab = get_vocabulary(args.vocab)
-    ref = _path_from_lab(args.ref, vocab)
-    est = _path_from_lab(args.est, vocab)
-    score = metrics.wcsr(MetricKind(args.metric), [(ref, est)], vocab)
+    pair = _scored_pair(annotate.load_annotation(args.ref), annotate.load_annotation(args.est),
+                        vocab)
+    score = metrics.wcsr(MetricKind(args.metric), [pair], vocab)
     print(f"{score:.1f}")
     return 0
 
@@ -211,14 +212,10 @@ def cmd_report(args) -> int:
     songs, frame_pairs, per_song = [], [], []
     for name in names:
         ref_ann = annotate.load_annotation(ref_dir / name)
-        # an estimate ending early reads as N to the reference's end; one
-        # running past it is scored over the reference's span, as in eval
         est_ann = annotate.load_annotation(est_dir / name)
-        est_ann = annotate.fill_gaps(est_ann.segments,
-                                     duration=max(ref_ann.duration, est_ann.duration))
-        ref_path = metrics.path_from_annotation(ref_ann, vocab)
-        est_path = metrics.path_from_annotation(est_ann, vocab)
+        ref_path, est_path = _scored_pair(ref_ann, est_ann, vocab)
         songs.append((ref_path, est_path))
+        # frames past the estimate's end read as N
         grid = annotate.grid_for(ref_ann.duration, hop=args.hop)
         ref_ids = annotate.frame_labels(ref_ann, grid, vocab)
         est_ids = annotate.frame_labels(est_ann, grid, vocab)

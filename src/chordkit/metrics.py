@@ -72,6 +72,21 @@ def path_from_annotation(ann, vocab: Vocabulary) -> TimedPath:
     ))
 
 
+def adjust_estimate(ref: TimedPath, est: TimedPath, vocab: Vocabulary) -> TimedPath:
+    """The estimate trimmed to the reference's span and padded with N at
+    either end (mir_eval's ``adjust_intervals`` convention): time the
+    estimate leaves out counts as N, time past the reference is not scored."""
+    if not ref.intervals:
+        return TimedPath(intervals=())
+    lo, hi = ref.intervals[0][0], ref.intervals[-1][1]
+    kept = [(max(start, lo), min(end, hi), chord)
+            for start, end, chord in est.intervals if end > lo and start < hi]
+    first, last = (kept[0][0], kept[-1][1]) if kept else (hi, hi)
+    head = [(lo, first, vocab.n_id)] if first > lo else []
+    tail = [(last, hi, vocab.n_id)] if last < hi else []
+    return TimedPath(intervals=tuple(head + kept + tail))
+
+
 def compare_labels(kind: MetricKind, ref: int, est: int, vocab: Vocabulary) -> Verdict:
     """Compare a reference and estimated chord id under one comparator."""
     if not (0 <= ref < vocab.size and 0 <= est < vocab.size):

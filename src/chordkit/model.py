@@ -14,6 +14,18 @@ L_root is a 14-way cross-entropy (12 roots plus N and X as their own
 classes), L_pitch the mean of 12 binary cross-entropies against the
 target's pitch-class membership (all-zero for N/X targets).
 
+The chord, root and pitch logits of a batch share one [n, C + 26] buffer:
+the logistic model fills it with a single ``x @ [Wc|Wr|Wp]``. Softmax and
+sigmoid turn its column blocks into probabilities in place, the loss
+gradient overwrites those in place, and one ``x.T @ buffer`` gives the
+three weight gradients as its column blocks. The hidden layer's context
+window is never copied out: one ``x @ W1'``, W1' holding W1's 2w+1 row
+blocks side by side, is summed block by block at each block's frame shift,
+and W1's gradient is one ``x.T @ E`` with the gradient rows shifted back
+into E. Frames past either end of the input count as zeros. Input
+standardization is fitted song by song, == to the moments of all training
+rows concatenated.
+
 There is one optimizer and epoch loop (Adam, cosine learning rate,
 per-epoch loss record, validation and best-parameter selection). Two batch
 sources feed it: :func:`train` samples a patch per song each epoch, with
@@ -45,6 +57,7 @@ from .vocab import Vocabulary, check_ids
 
 N_ROOT_CLASSES = 14  # 12 roots + N + X
 N_PITCH_CLASSES = 12
+N_AUX = N_ROOT_CLASSES + N_PITCH_CLASSES  # root and pitch-class logits
 SHIFT_CHOICES = (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6)
 WEIGHT_NAMES = {
     "logistic": ("Wc", "bc", "Wr", "br", "Wp", "bp"),
@@ -117,7 +130,7 @@ def init_params(arch: str, n_bins: int, vocab: Vocabulary, hidden_units: int = 6
         w["W1"], w["b1"] = mat(d, h), np.zeros(h)
         w["Wr"], w["br"] = mat(h, N_ROOT_CLASSES), np.zeros(N_ROOT_CLASSES)
         w["Wp"], w["bp"] = mat(h, N_PITCH_CLASSES), np.zeros(N_PITCH_CLASSES)
-        w["W2"], w["b2"] = mat(h + N_ROOT_CLASSES + N_PITCH_CLASSES, C), np.zeros(C)
+        w["W2"], w["b2"] = mat(h + N_AUX, C), np.zeros(C)
     else:
         raise ValueError(f"unknown architecture {arch!r}")
     params.mean = np.zeros(n_bins)
@@ -173,55 +186,99 @@ def class_weights(counts: np.ndarray, alpha: float) -> np.ndarray:
 
 # --- forward pass ---
 
-def context_stack(x: np.ndarray, w: int) -> np.ndarray:
-    """Concatenate frames i-w..i+w per row, zero-padding at the edges."""
-    if w == 0:
-        return x
-    n, d = x.shape
-    padded = np.zeros((n + 2 * w, d))
-    padded[w:w + n] = x
-    return np.concatenate([padded[i:i + n] for i in range(2 * w + 1)], axis=1)
+def _window_blocks(n: int, w: int):
+    """(j, lo, hi, s) per context offset s = j - w in -w..w: rows lo..hi-1
+    are those whose frame i + s lies inside the n input rows. Frames past
+    either end are the window's zero padding and add nothing."""
+    for j in range(2 * w + 1):
+        s = j - w
+        lo, hi = max(0, -s), min(n, n - s)
+        if lo < hi:
+            yield j, lo, hi, s
+
+
+def _window_matmul(x: np.ndarray, W1: np.ndarray, w: int, out: np.ndarray) -> np.ndarray:
+    """Each row's context window of frames i-w..i+w, zero-padded at the
+    edges, times W1, written to ``out``. One ``x @ W1'``, with W1's 2w+1 row
+    blocks side by side in W1', then each column block summed at its shift."""
+    d, n_h = x.shape[1], W1.shape[1]
+    k = 2 * w + 1
+    y = x @ W1.reshape(k, d, n_h).transpose(1, 0, 2).reshape(d, k * n_h)
+    out[...] = 0.0
+    for j, lo, hi, s in _window_blocks(len(x), w):
+        out[lo:hi] += y[lo + s:hi + s, j * n_h:(j + 1) * n_h]
+    return out
+
+
+def _window_grad(x: np.ndarray, d_pre: np.ndarray, w: int) -> np.ndarray:
+    """Gradient of W1 in :func:`_window_matmul`: one ``x.T @ E``, where E
+    holds d_pre's rows shifted to each block's input frame."""
+    d, (n, n_h) = x.shape[1], d_pre.shape
+    k = 2 * w + 1
+    e = np.zeros((n, k * n_h))
+    for j, lo, hi, s in _window_blocks(n, w):
+        e[lo + s:hi + s, j * n_h:(j + 1) * n_h] = d_pre[lo:hi]
+    return (x.T @ e).reshape(d, k, n_h).transpose(1, 0, 2).reshape(k * d, n_h)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax, in place."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
+    """Logistic function, in place."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
+
+
+def _heads(z: np.ndarray, n_classes: int):
+    """Chord, root and pitch blocks of the last axis of a [..., C + 26] head buffer."""
+    c = n_classes + N_ROOT_CLASSES
+    return z[..., :n_classes], z[..., n_classes:c], z[..., c:]
 
 
 def _forward_raw(params: ModelParams, x: np.ndarray):
-    """Logits plus intermediates for backprop. x is standardized input."""
+    """(logits, cache): the chord, root and pitch logits side by side in one
+    [n, C + 26] buffer, and what backprop needs besides. x is standardized
+    input; the cache is x (logistic) or the chord layer's input (hidden)."""
     w = params.weights
     if params.arch == "logistic":
-        return {
-            "x": x,
-            "z_chord": x @ w["Wc"] + w["bc"],
-            "z_root": x @ w["Wr"] + w["br"],
-            "z_pitch": x @ w["Wp"] + w["bp"],
-        }
-    xc = context_stack(x, params.context)
-    pre = xc @ w["W1"] + w["b1"]
-    h = np.maximum(pre, 0.0)
-    z_root = h @ w["Wr"] + w["br"]
-    z_pitch = h @ w["Wp"] + w["bp"]
-    combined = np.concatenate([h, z_root, z_pitch], axis=1)
-    return {
-        "x": xc,
-        "pre": pre,
-        "h": h,
-        "combined": combined,
-        "z_chord": combined @ w["W2"] + w["b2"],
-        "z_root": z_root,
-        "z_pitch": z_pitch,
-    }
+        z = x @ np.hstack((w["Wc"], w["Wr"], w["Wp"]))
+        z += np.concatenate((w["bc"], w["br"], w["bp"]))
+        return z, x
+    n_h, C = params.hidden_units, params.n_classes
+    # the chord layer's input: [h | root logits | pitch logits]
+    combined = np.empty((len(x), n_h + N_AUX))
+    h, aux = combined[:, :n_h], combined[:, n_h:]
+    _window_matmul(x, w["W1"], params.context, out=h)
+    h += w["b1"]
+    np.maximum(h, 0.0, out=h)
+    np.matmul(h, np.hstack((w["Wr"], w["Wp"])), out=aux)
+    aux += np.concatenate((w["br"], w["bp"]))
+    z = np.empty((len(x), C + N_AUX))
+    np.matmul(combined, w["W2"], out=z[:, :C])
+    z[:, :C] += w["b2"]
+    z[:, C:] = aux
+    return z, combined
+
+
+def _probabilities(z: np.ndarray, n_classes: int):
+    """Turn a logits buffer into (posteriors, root_probs, pitch_probs) in place."""
+    chord, root, pitch = _heads(z, n_classes)
+    return _softmax(chord), _softmax(root), _sigmoid(pitch)
 
 
 def standardize(params: ModelParams, data: np.ndarray) -> np.ndarray:
-    return (data - params.mean) / params.std
+    """(data - mean) / std as one new array."""
+    x = np.subtract(data, params.mean, dtype=np.result_type(data, params.mean, params.std))
+    x /= params.std
+    return x
 
 
 def forward(params: ModelParams, feat: FeatureMatrix | np.ndarray):
@@ -230,8 +287,8 @@ def forward(params: ModelParams, feat: FeatureMatrix | np.ndarray):
     if data.ndim != 2 or data.shape[1] != params.n_bins:
         raise DimensionMismatch(
             f"expected n x {params.n_bins} input, got {data.shape}")
-    cache = _forward_raw(params, standardize(params, data))
-    return _softmax(cache["z_chord"]), _softmax(cache["z_root"]), _sigmoid(cache["z_pitch"])
+    z, _ = _forward_raw(params, standardize(params, data))
+    return _probabilities(z, params.n_classes)
 
 
 def predict_frames(params: ModelParams, feat) -> np.ndarray:
@@ -286,50 +343,41 @@ def loss_and_grads(params: ModelParams, data: np.ndarray, targets: np.ndarray,
     if n == 0:
         raise EmptyDataset("batch contains no unmasked frames")
 
-    cache = _forward_raw(params, standardize(params, data))
-    post = _softmax(cache["z_chord"])
-    root_probs = _softmax(cache["z_root"])
-    pitch_probs = _sigmoid(cache["z_pitch"])
-    idx = np.flatnonzero(mask)
-    loss = _loss((post, root_probs, pitch_probs), built, weights, gamma, idx)
+    x = standardize(params, data)
+    z, cache = _forward_raw(params, x)
+    post, root_probs, pitch_probs = _probabilities(z, params.n_classes)
+    loss = _loss((post, root_probs, pitch_probs), built, weights, gamma, np.flatnonzero(mask))
 
-    w_frame = np.zeros(len(targets))
-    w_frame[idx] = weights[targets[idx]]
+    # the probabilities become the loss gradients of the logits, in place;
+    # a masked frame's row scales to zero
+    rows = np.arange(len(targets))
+    post[rows, targets] -= 1.0
+    post *= ((gamma / n) * np.where(mask, weights[targets], 0.0))[:, None]
+    root_probs[rows, r_t] -= 1.0
+    root_probs *= np.where(mask, (1.0 - gamma) / n, 0.0)[:, None]
+    pitch_probs -= p_t
+    pitch_probs *= np.where(mask, (1.0 - gamma) / (n * N_PITCH_CLASSES), 0.0)[:, None]
 
-    d_chord = post.copy()
-    d_chord[np.arange(len(targets)), targets] -= 1.0
-    d_chord *= (gamma / n) * w_frame[:, None]
-    d_chord[~mask] = 0.0
-
-    d_root_loss = root_probs.copy()
-    d_root_loss[np.arange(len(targets)), r_t] -= 1.0
-    d_root_loss *= (1.0 - gamma) / n
-    d_root_loss[~mask] = 0.0
-
-    d_pitch_loss = (pitch_probs - p_t) * ((1.0 - gamma) / (n * N_PITCH_CLASSES))
-    d_pitch_loss[~mask] = 0.0
-
-    w = params.weights
-    grads = {}
+    w, C = params.weights, params.n_classes
     if params.arch == "logistic":
-        x = cache["x"]
-        grads["Wc"], grads["bc"] = x.T @ d_chord, d_chord.sum(axis=0)
-        grads["Wr"], grads["br"] = x.T @ d_root_loss, d_root_loss.sum(axis=0)
-        grads["Wp"], grads["bp"] = x.T @ d_pitch_loss, d_pitch_loss.sum(axis=0)
-    else:
-        h = cache["h"]
-        n_h = params.hidden_units
-        grads["W2"] = cache["combined"].T @ d_chord
-        grads["b2"] = d_chord.sum(axis=0)
-        d_combined = d_chord @ w["W2"].T
-        # aux logits feed both their own losses and the chord layer
-        d_root = d_root_loss + d_combined[:, n_h:n_h + N_ROOT_CLASSES]
-        d_pitch = d_pitch_loss + d_combined[:, n_h + N_ROOT_CLASSES:]
-        grads["Wr"], grads["br"] = h.T @ d_root, d_root.sum(axis=0)
-        grads["Wp"], grads["bp"] = h.T @ d_pitch, d_pitch.sum(axis=0)
-        d_h = d_combined[:, :n_h] + d_root @ w["Wr"].T + d_pitch @ w["Wp"].T
-        d_pre = d_h * (cache["pre"] > 0)
-        grads["W1"], grads["b1"] = cache["x"].T @ d_pre, d_pre.sum(axis=0)
+        gc, gr, gp = _heads(cache.T @ z, C)
+        bc, br, bp = _heads(z.sum(axis=0), C)
+        return loss, {"Wc": gc, "bc": bc, "Wr": gr, "br": br, "Wp": gp, "bp": bp}
+    n_h = params.hidden_units
+    d_chord, d_aux = z[:, :C], z[:, C:]
+    d_combined = d_chord @ w["W2"].T
+    # aux logits feed both their own losses and the chord layer
+    d_aux += d_combined[:, n_h:]
+    h = cache[:, :n_h]
+    gr, gp = np.split(h.T @ d_aux, [N_ROOT_CLASSES], axis=1)
+    br, bp = np.split(d_aux.sum(axis=0), [N_ROOT_CLASSES])
+    grads = {"W2": cache.T @ d_chord, "b2": d_chord.sum(axis=0),
+             "Wr": gr, "br": br, "Wp": gp, "bp": bp}
+    d_pre = d_combined[:, :n_h]
+    d_pre += d_aux @ np.hstack((w["Wr"], w["Wp"])).T
+    d_pre *= h > 0
+    grads["W1"] = _window_grad(x, d_pre, params.context)
+    grads["b1"] = d_pre.sum(axis=0)
     return loss, grads
 
 
@@ -366,13 +414,39 @@ def dataset_frame_ids(dataset, vocab: Vocabulary):
     return [frame_labels(ann, feat.grid(), vocab) for feat, ann in dataset]
 
 
-def _standardized_init(arch: str, data: np.ndarray, vocab: Vocabulary, cfg: TrainConfig,
-                       hidden_units: int, context: int) -> ModelParams:
-    """Fresh parameters whose input standardization is fitted to ``data``."""
-    params = init_params(arch, data.shape[1], vocab, hidden_units=hidden_units,
+def _column_moments(blocks: list[np.ndarray]):
+    """Column mean and std over the rows of all blocks, == to
+    ``np.concatenate(blocks).mean(axis=0)`` and ``.std(axis=0)`` without the
+    concatenation. numpy sums axis 0 row by row, so each block continues the
+    running total from a carried row, and divides as its mean and var do."""
+    if blocks[0].shape[1] == 1:
+        # one column is summed pairwise, and is small enough to concatenate
+        rows = np.concatenate(blocks)
+        return rows.mean(axis=0), rows.std(axis=0)
+    dtype = np.result_type(*blocks)
+    n = sum(len(b) for b in blocks)
+    carry = np.empty((max(len(b) for b in blocks) + 1, blocks[0].shape[1]), dtype=dtype)
+
+    def column_mean(fill):
+        carry[0] = 0.0
+        for b in blocks:
+            fill(b, carry[1:len(b) + 1])
+            carry[0] = np.add.reduce(carry[:len(b) + 1], axis=0)
+        # divided in float64, then rounded to the data's dtype
+        return (carry[0] / np.float64(n)).astype(dtype)
+
+    mean = column_mean(lambda b, rows: np.copyto(rows, b))
+    var = column_mean(lambda b, rows: np.square(np.subtract(b, mean, out=rows), out=rows))
+    return mean, np.sqrt(var)
+
+
+def _standardized_init(arch: str, blocks: list[np.ndarray], vocab: Vocabulary,
+                       cfg: TrainConfig, hidden_units: int, context: int) -> ModelParams:
+    """Fresh parameters whose input standardization is fitted to the rows of
+    ``blocks``."""
+    params = init_params(arch, blocks[0].shape[1], vocab, hidden_units=hidden_units,
                          context=context, seed=cfg.seed)
-    params.mean = data.mean(axis=0)
-    std = data.std(axis=0)
+    params.mean, std = _column_moments(blocks)
     params.std = np.where(std > 1e-8, std, 1.0)
     return params
 
@@ -465,8 +539,8 @@ def train(dataset, val, cfg: TrainConfig, vocab: Vocabulary, arch: str = "logist
     """
     if not dataset:
         raise EmptyDataset("empty training set")
-    params = _standardized_init(arch, np.concatenate([feat.data for feat, _ in dataset]),
-                                vocab, cfg, hidden_units, context)
+    params = _standardized_init(arch, [feat.data for feat, _ in dataset], vocab, cfg,
+                                hidden_units, context)
 
     train_ids = dataset_frame_ids(dataset, vocab)
     counts = np.bincount(np.concatenate(train_ids), minlength=vocab.size).astype(np.float64)
@@ -488,7 +562,7 @@ def fit_rows(rows: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
     targets = np.asarray(targets, dtype=np.int64)
     if rows.size == 0:
         raise EmptyDataset("no rows to fit")
-    params = _standardized_init(arch, rows, vocab, cfg, hidden_units, context=0)
+    params = _standardized_init(arch, [rows], vocab, cfg, hidden_units, context=0)
     counts = np.bincount(targets, minlength=vocab.size).astype(np.float64)
     return _fit(params, lambda rng: _row_batches(rng, rows, targets, cfg.batch_size),
                 class_weights(counts, cfg.weight_alpha), cfg, vocab)

@@ -272,10 +272,15 @@ def load_manifest(path) -> Vocabulary:
 
     Raises BadManifest for an empty file, a wrong header, a missing or bad
     ``reduce_to_majmin`` line, a quality line that is not a name plus
-    comma-separated pitch classes in 0-11, or no quality at all.
+    comma-separated pitch classes in 0-11, a quality listed twice, no
+    quality at all, or bytes that are not UTF-8.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise BadManifest(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     if not lines or lines[0].split() != ["chordkit-vocab", f"v{MANIFEST_VERSION}"]:
         raise BadManifest(f"{path}: unrecognized vocabulary manifest header")
     reduce_line = lines[1].split() if len(lines) > 1 else []
@@ -292,6 +297,8 @@ def load_manifest(path) -> Vocabulary:
             raise BadManifest(f"{path}: line {line_no}: expected 'name p,p,...'") from None
         if not template <= set(range(12)):
             raise BadManifest(f"{path}: line {line_no}: pitch classes outside 0-11")
+        if name in names:
+            raise BadManifest(f"{path}: line {line_no}: quality {name!r} listed twice")
         names.append(name)
         templates.append(template)
     if not names:

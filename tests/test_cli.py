@@ -356,6 +356,27 @@ class TestReport:
             assert capsys.readouterr().out.strip() == f"{float(row['root']):.1f}"
 
 
+    def test_eval_scores_early_ending_estimate_like_report(self, dataset, tmp_path, capsys):
+        """An estimate cut at 5 s of a 10 s song reads as N for the rest, in
+        eval as in report."""
+        est = tmp_path / "est"
+        est.mkdir()
+        rows = []
+        for line in (dataset / "song_0000.tsv").read_text().splitlines():
+            start, end, label = line.split("\t")
+            if float(start) < 5.0:
+                rows.append(f"{start}\t{min(float(end), 5.0):.6f}\t{label}\n")
+        (est / "song_0000.tsv").write_text("".join(rows))
+        out = tmp_path / "report"
+        assert run(["report", "--ref-dir", dataset, "--est-dir", est, "--out", out]) == 0
+        with open(out / "per_song.csv", newline="", encoding="utf-8") as fh:
+            (row,) = list(csv.DictReader(fh))
+        capsys.readouterr()
+        assert run(["eval", "--ref", dataset / "song_0000.tsv", "--est", est / "song_0000.tsv",
+                    "--metric", "root"]) == 0
+        assert capsys.readouterr().out.strip() == f"{float(row['root']):.1f}" == "50.0"
+
+
 class TestAugment:
     def test_shift_round_trip(self, dataset, tmp_path, capsys):
         out = tmp_path / "aug"

@@ -4,7 +4,7 @@ import pytest
 from chordkit.annotate import fill_gaps
 from chordkit.errors import LengthMismatch, ZeroDefinedTime
 from chordkit.harte import parse_chord, pitch_class_set
-from chordkit.metrics import (MetricKind, TimedPath, Verdict,
+from chordkit.metrics import (MetricKind, TimedPath, Verdict, adjust_estimate,
                               class_wise_scores, compare_labels,
                               confusion_matrix, path_from_annotation,
                               path_from_frames, quality_axis, root_axis, wcsr)
@@ -115,6 +115,30 @@ class TestPaths:
 
     def test_duration(self):
         assert TimedPath(intervals=((0.0, 2.5, 0),)).duration == 2.5
+
+    @pytest.mark.parametrize("est,expected", [
+        # ends early: N to the reference's end
+        (((0.0, 5.0, 3),), ((1.0, 5.0, 3), (5.0, 9.0, "N"))),
+        # starts late and runs past: N from the reference's start, cut at its end
+        (((2.0, 4.0, 3), (4.0, 12.0, 7)), ((1.0, 2.0, "N"), (2.0, 4.0, 3), (4.0, 9.0, 7))),
+        # covers exactly the reference's span: unchanged
+        (((1.0, 9.0, 3),), ((1.0, 9.0, 3),)),
+        # nothing inside the span: all N
+        (((9.0, 11.0, 3),), ((1.0, 9.0, "N"),)),
+        ((), ((1.0, 9.0, "N"),)),
+    ], ids=["ends-early", "starts-late-runs-past", "exact", "outside", "empty"])
+    def test_adjust_estimate_to_reference_span(self, est, expected):
+        ref = TimedPath(intervals=((1.0, 4.0, 0), (4.0, 9.0, 1)))
+        adjusted = adjust_estimate(ref, TimedPath(intervals=est), V)
+        assert adjusted.intervals == tuple((s, e, V.n_id if c == "N" else c)
+                                           for s, e, c in expected)
+
+    def test_adjusted_early_estimate_scores_missing_time_as_wrong(self):
+        ref = TimedPath(intervals=((0.0, 10.0, cid("C:maj")),))
+        est = TimedPath(intervals=((0.0, 5.0, cid("C:maj")),))
+        assert wcsr(MetricKind.ROOT, [(ref, est)], V) == pytest.approx(100.0)
+        assert wcsr(MetricKind.ROOT, [(ref, adjust_estimate(ref, est, V))], V) \
+            == pytest.approx(50.0)
 
 
 def paths(ref_rows, est_rows):

@@ -6,8 +6,8 @@ from chordkit.annotate import transpose_annotation
 from chordkit.errors import (AllZeroCounts, ChordkitError, DimensionMismatch,
                              EmptyDataset, NonFiniteLoss, TargetOutOfRange)
 from chordkit.features import FeatureMatrix
-from chordkit.model import (TrainConfig, class_weights, context_stack,
-                            cosine_lr, dataset_frame_ids, evaluate,
+from chordkit.model import (N_ROOT_CLASSES, TrainConfig, _column_moments, _forward_raw,
+                            class_weights, cosine_lr, dataset_frame_ids, evaluate,
                             expected_counts, fit_rows, forward, init_params,
                             load_checkpoint, load_posteriors, loss_and_grads,
                             pitch_targets, predict_frames, root_targets,
@@ -16,6 +16,56 @@ from chordkit.vocab import manifest_hash, transpose_id, vocabulary_26, vocabular
 
 V26 = vocabulary_26()
 V170 = vocabulary_170()
+
+
+def context_stack(x: np.ndarray, w: int) -> np.ndarray:
+    """Concatenate frames i-w..i+w per row, zero-padding at the edges."""
+    if w == 0:
+        return x
+    n, d = x.shape
+    padded = np.zeros((n + 2 * w, d))
+    padded[w:w + n] = x
+    return np.concatenate([padded[i:i + n] for i in range(2 * w + 1)], axis=1)
+
+
+def reference_hidden(params, data, targets, weights, gamma, vocab, mask):
+    """Logits [chord | root | pitch] and gradients of the hidden model over
+    an explicit context_stack copy, with one matmul per head."""
+    def softmax(z):
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    w, n_h = params.weights, params.hidden_units
+    xc = context_stack((data - params.mean) / params.std, params.context)
+    pre = xc @ w["W1"] + w["b1"]
+    h = np.maximum(pre, 0.0)
+    z_root = h @ w["Wr"] + w["br"]
+    z_pitch = h @ w["Wp"] + w["bp"]
+    combined = np.concatenate([h, z_root, z_pitch], axis=1)
+    z_chord = combined @ w["W2"] + w["b2"]
+    logits = np.concatenate([z_chord, z_root, z_pitch], axis=1)
+
+    n = int(mask.sum())
+    rows = np.arange(len(targets))
+    d_chord = softmax(z_chord)
+    d_chord[rows, targets] -= 1.0
+    d_chord *= (gamma / n) * weights[targets][:, None]
+    d_root = softmax(z_root)
+    d_root[rows, root_targets(targets, vocab)] -= 1.0
+    d_root *= (1.0 - gamma) / n
+    d_pitch = (1.0 / (1.0 + np.exp(-z_pitch)) - pitch_targets(targets, vocab)) \
+        * ((1.0 - gamma) / (n * 12))
+    for d in (d_chord, d_root, d_pitch):
+        d[~mask] = 0.0
+    d_combined = d_chord @ w["W2"].T
+    d_root += d_combined[:, n_h:n_h + N_ROOT_CLASSES]
+    d_pitch += d_combined[:, n_h + N_ROOT_CLASSES:]
+    d_pre = (d_combined[:, :n_h] + d_root @ w["Wr"].T + d_pitch @ w["Wp"].T) * (pre > 0)
+    grads = {"W2": combined.T @ d_chord, "b2": d_chord.sum(axis=0),
+             "Wr": h.T @ d_root, "br": d_root.sum(axis=0),
+             "Wp": h.T @ d_pitch, "bp": d_pitch.sum(axis=0),
+             "W1": xc.T @ d_pre, "b1": d_pre.sum(axis=0)}
+    return logits, grads
 
 
 class TestTargets:
@@ -116,6 +166,35 @@ class TestForward:
         assert list(out[1]) == [1.0, 2.0, 3.0]
         assert list(out[2]) == [2.0, 3.0, 0.0]
 
+    @settings(max_examples=150, deadline=None)
+    @given(context=st.sampled_from([0, 1, 2, 5]), data=st.data())
+    def test_window_matches_context_stack(self, context, data):
+        """Logits and gradients of the shifted-block hidden layer match an
+        explicit context_stack copy, for inputs shorter than the window too."""
+        n = data.draw(st.integers(1, 2 * context + 3), label="n")
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)
+                                  .filter(any), label="mask"))
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        n_bins = int(rng.integers(1, 6))
+        params = init_params("hidden", n_bins, V26, hidden_units=int(rng.integers(1, 6)),
+                             context=context, seed=seed % 1000, scale=0.5)
+        params.mean, params.std = rng.normal(size=n_bins), rng.uniform(0.5, 2.0, size=n_bins)
+        x = rng.normal(size=(n, n_bins))
+        y = rng.integers(0, V26.size, size=n)
+        w = class_weights(rng.integers(1, 50, size=V26.size).astype(float), 0.3)
+        gamma = float(rng.uniform(0, 1))
+
+        ref_logits, ref_grads = reference_hidden(params, x, y, w, gamma, V26, mask)
+        logits, _ = _forward_raw(params, (x - params.mean) / params.std)
+        _, grads = loss_and_grads(params, x, y, w, gamma, V26, mask=mask)
+        assert list(grads) == list(ref_grads)
+        for key, got in [("logits", logits), *grads.items()]:
+            want = ref_logits if key == "logits" else ref_grads[key]
+            assert got.shape == want.shape, key
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max(), err_msg=key)
+
     def test_predict_frames_shape(self):
         params = init_params("hidden", 6, V26, hidden_units=4, context=1, seed=1)
         preds = predict_frames(params, np.random.default_rng(0).normal(size=(5, 6)))
@@ -168,12 +247,17 @@ def _numeric_grad(params, key, flat_idx, data, y, w, gamma, vocab, mask, eps=1e-
 
 
 class TestGradients:
-    @pytest.mark.parametrize("arch", ["logistic", "hidden"])
+    @pytest.mark.parametrize("arch,context,n", [
+        pytest.param("logistic", 1, 12, id="logistic"),
+        pytest.param("hidden", 1, 12, id="hidden"),
+        # fewer rows than the context window holds
+        pytest.param("hidden", 2, 3, id="hidden-context2-n3"),
+    ])
     @pytest.mark.parametrize("gamma", [0.0, 0.7, 1.0])
-    def test_matches_finite_differences(self, arch, gamma):
+    def test_matches_finite_differences(self, arch, context, n, gamma):
         rng = np.random.default_rng(42)
-        n_bins, n = 5, 12
-        params = init_params(arch, n_bins, V26, hidden_units=4, context=1,
+        n_bins = 5
+        params = init_params(arch, n_bins, V26, hidden_units=4, context=context,
                              seed=5, scale=0.3)
         data = rng.normal(size=(n, n_bins))
         y = rng.integers(0, V26.size, size=n)
@@ -189,6 +273,39 @@ class TestGradients:
                 num = _numeric_grad(params, key, flat_idx, data, y, w, gamma,
                                     V26, mask)
                 assert _rel_err(g.flat[flat_idx], num) < 1e-5, (key, flat_idx)
+
+
+class TestInputsUntouched:
+    """The in-place softmax and gradients write only to buffers the model
+    allocated: every caller's array stays byte-equal."""
+
+    @staticmethod
+    def _snapshot(params, *arrays):
+        return ([a.tobytes() for a in arrays] + [params.mean.tobytes(), params.std.tobytes()]
+                + [(k, v.tobytes()) for k, v in params.weights.items()])
+
+    @pytest.mark.parametrize("arch", ["logistic", "hidden"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_loss_and_evaluate(self, arch, dtype):
+        rng = np.random.default_rng(11)
+        params = init_params(arch, 8, V26, hidden_units=5, context=2, seed=3, scale=0.3)
+        params.mean = rng.normal(size=8).astype(dtype)
+        params.std = rng.uniform(0.5, 2.0, size=8).astype(dtype)
+        ds = [(FeatureMatrix(data=feat.data.astype(dtype), hop=feat.hop,
+                             bins_per_octave=feat.bins_per_octave), ann)
+              for feat, ann in tiny_dataset(n_songs=2)]
+        ids = dataset_frame_ids(ds, V26)
+        data = ds[0][0].data
+        weights = class_weights(rng.integers(1, 50, size=V26.size).astype(float), 0.3)
+        mask = np.arange(len(data)) % 3 > 0
+        before = self._snapshot(params, data, ids[0], weights, mask)
+
+        forward(params, ds[0][0])
+        forward(params, data)
+        loss_and_grads(params, data, ids[0], weights, 0.7, V26, mask=mask)
+        loss_and_grads(params, data, ids[0], weights, 0.7, V26)
+        evaluate(params, ds, ids, weights, 0.7, V26)
+        assert self._snapshot(params, data, ids[0], weights, mask) == before
 
 
 class TestOptim:
@@ -249,6 +366,25 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDataset):
             train([], [], TrainConfig(epochs=1), V26)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lengths=st.lists(st.integers(0, 300), min_size=1, max_size=12).filter(any),
+           n_bins=st.integers(1, 9), dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_song_by_song_moments_equal_concatenated(self, lengths, n_bins, dtype, seed):
+        rng = np.random.default_rng(seed)
+        blocks = [rng.normal(-40.0, 12.0, size=(m, n_bins)).astype(dtype) for m in lengths]
+        mean, std = _column_moments(blocks)
+        rows = np.concatenate(blocks)
+        assert mean.dtype == std.dtype == dtype
+        assert np.array_equal(mean, rows.mean(axis=0)) and np.array_equal(std, rows.std(axis=0))
+
+    def test_standardization_fitted_to_training_rows(self):
+        ds = tiny_dataset(n_frames=333)
+        params, _ = train(ds, [], TrainConfig(epochs=1), V26)
+        rows = np.concatenate([feat.data for feat, _ in ds])
+        assert np.array_equal(params.mean, rows.mean(axis=0))
+        assert np.array_equal(params.std, rows.std(axis=0))
 
     def test_validation_cadence(self):
         ds = tiny_dataset()

@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chordkit import vocab as vocab_mod
-from chordkit.errors import BadManifest, IdOutOfRange
+from chordkit.errors import BadManifest, ChordkitError, IdOutOfRange
 from chordkit.harte import format_chord, parse_chord, transpose_label
 from chordkit.vocab import (get_vocabulary, id_info, id_label, load_manifest,
                             manifest_hash, map_label, save_manifest,
@@ -114,13 +114,38 @@ class TestManifest:
         "chordkit-vocab v1\nreduce_to_majmin 0\nmaj 0,four,7\n",
         "chordkit-vocab v1\nreduce_to_majmin 0\nmaj 0,4,12\n",
         "chordkit-vocab v1\nreduce_to_majmin 0\n\n",
+        "chordkit-vocab v1\nreduce_to_majmin 0\nmaj 0,4,7\nmaj 0,3,7\n",
     ], ids=["empty", "header-only", "bad-header", "bad-version", "bad-reduce-value",
             "no-reduce-line", "quality-without-classes", "quality-extra-field",
-            "quality-non-integer", "quality-out-of-range", "no-quality"])
+            "quality-non-integer", "quality-out-of-range", "no-quality", "quality-twice"])
     def test_malformed_manifest_rejected(self, tmp_path, text):
         path = tmp_path / "vocab.txt"
         path.write_text(text)
         with pytest.raises(BadManifest):
+            load_manifest(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cut=st.one_of(st.none(), st.integers(0, 400)), flip=st.integers(0, 3_200))
+    def test_truncated_or_flipped_file(self, tmp_path, cut, flip):
+        """Any damage ends in a vocabulary or a ChordkitError."""
+        path = tmp_path / "vocab.txt"
+        save_manifest(V26, path)
+        raw = bytearray(path.read_bytes())
+        if cut is None:
+            raw[flip // 8 % len(raw)] ^= 1 << (flip % 8)
+        else:
+            del raw[cut % len(raw):]
+        path.write_bytes(bytes(raw))
+        try:
+            load_manifest(path)
+        except ChordkitError:
+            pass
+
+    def test_invalid_utf8_rejected(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"chordkit-vocab v1\nreduce_to_majmin 0\nmaj\xff 0,4,7\n")
+        with pytest.raises(BadManifest, match="UTF-8"):
             load_manifest(path)
 
     def test_hash_stable(self):
