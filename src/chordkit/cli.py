@@ -117,6 +117,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.context is None:
+        args.context = 5 if args.arch == "hidden" else 0
+    elif args.arch != "hidden":
+        raise ChordkitError(f"--context applies to --arch hidden only, not {args.arch}")
     vocab = get_vocabulary(args.vocab)
     pairs = _dataset_pairs(Path(args.data))
     if not pairs:
@@ -325,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--arch", default="logistic", choices=("logistic", "hidden"))
     p.add_argument("--hidden-units", type=int, default=64)
-    p.add_argument("--context", type=int, default=5)
+    p.add_argument("--context", type=int,
+                   help="frames of context on each side, hidden only (default 5)")
     p.add_argument("--epochs", type=int, default=150)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--patch-seconds", type=float, default=10.0)

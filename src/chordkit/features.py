@@ -128,12 +128,8 @@ def render_synthetic_cqt(ann: Annotation, grid: FrameGrid,
     set to peak_db minus octave_rolloff_db per octave above the pitch class's
     lowest in-range bin; all other bins (and N/X frames) sit at floor_db.
     """
-    if params.bins_per_octave % 12 != 0:
-        raise BadBinConfig(f"bins_per_octave {params.bins_per_octave} not divisible by 12")
-    per_semitone = params.bins_per_octave // 12
-    semitones = np.arange(params.n_bins) // per_semitone
-    pcs = semitones % 12
-    octaves = semitones // 12
+    pcs = bin_pitch_classes(params.n_bins, params.bins_per_octave)
+    octaves = np.arange(params.n_bins) // params.bins_per_octave
 
     # one row per segment, then a floor row for frames outside every segment
     # (index -1); N and X segments stay at the floor
@@ -217,10 +213,11 @@ def beat_intervals(beats: list[float], division: str = "1",
     base = list(zip(edges, edges[1:]))
     if division in ("0.25", "0.5"):
         parts = 4 if division == "0.25" else 2
-        out = []
-        for start, end in base:
-            step = (end - start) / parts
-            out.extend((start + j * step, start + (j + 1) * step) for j in range(parts))
+        start = np.array(edges[:-1], dtype=np.float64)[:, None]
+        step = (np.array(edges[1:], dtype=np.float64)[:, None] - start) / parts
+        # part j of each beat runs from start + j * step to start + (j + 1) * step
+        bounds = start + np.arange(parts + 1) * step
+        out = list(zip(bounds[:, :-1].ravel().tolist(), bounds[:, 1:].ravel().tolist()))
     elif division == "1":
         out = base
     elif division == "2":

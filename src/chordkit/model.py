@@ -26,6 +26,16 @@ into E. Frames past either end of the input count as zeros. Input
 standardization is fitted song by song, == to the moments of all training
 rows concatenated.
 
+The model computes in its weights' dtype, and inputs are standardized into
+it. :func:`train` and :func:`fit_rows` make the weights in the training
+rows' dtype (float32 for features read from ``.cqtf`` files),
+:func:`load_checkpoint` keeps the stored float32 arrays, and
+:func:`init_params` makes float64 weights. Adam's moments follow the
+weights. Only the loss is taken in float64, on the gathered target entries,
+so that a float32 sigmoid saturated at 1 or a softmax entry underflowed to
+0 still costs a finite loss (mixed precision: Micikevicius et al., ICLR
+2018).
+
 There is one optimizer and epoch loop (Adam, cosine learning rate,
 per-epoch loss record, validation and best-parameter selection). Two batch
 sources feed it: :func:`train` samples a patch per song each epoch, with
@@ -99,6 +109,11 @@ class ModelParams:
     mean: np.ndarray | None = None
     std: np.ndarray | None = None
     vocab_hash: str = ""
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype the model computes in: that of its weights."""
+        return next(iter(self.weights.values())).dtype
 
     @property
     def input_dim(self) -> int:
@@ -215,7 +230,7 @@ def _window_grad(x: np.ndarray, d_pre: np.ndarray, w: int) -> np.ndarray:
     holds d_pre's rows shifted to each block's input frame."""
     d, (n, n_h) = x.shape[1], d_pre.shape
     k = 2 * w + 1
-    e = np.zeros((n, k * n_h))
+    e = np.zeros((n, k * n_h), dtype=x.dtype)
     for j, lo, hi, s in _window_blocks(n, w):
         e[lo + s:hi + s, j * n_h:(j + 1) * n_h] = d_pre[lo:hi]
     return (x.T @ e).reshape(d, k, n_h).transpose(1, 0, 2).reshape(k * d, n_h)
@@ -254,14 +269,14 @@ def _forward_raw(params: ModelParams, x: np.ndarray):
         return z, x
     n_h, C = params.hidden_units, params.n_classes
     # the chord layer's input: [h | root logits | pitch logits]
-    combined = np.empty((len(x), n_h + N_AUX))
+    combined = np.empty((len(x), n_h + N_AUX), dtype=x.dtype)
     h, aux = combined[:, :n_h], combined[:, n_h:]
     _window_matmul(x, w["W1"], params.context, out=h)
     h += w["b1"]
     np.maximum(h, 0.0, out=h)
     np.matmul(h, np.hstack((w["Wr"], w["Wp"])), out=aux)
     aux += np.concatenate((w["br"], w["bp"]))
-    z = np.empty((len(x), C + N_AUX))
+    z = np.empty((len(x), C + N_AUX), dtype=x.dtype)
     np.matmul(combined, w["W2"], out=z[:, :C])
     z[:, :C] += w["b2"]
     z[:, C:] = aux
@@ -275,15 +290,15 @@ def _probabilities(z: np.ndarray, n_classes: int):
 
 
 def standardize(params: ModelParams, data: np.ndarray) -> np.ndarray:
-    """(data - mean) / std as one new array."""
-    x = np.subtract(data, params.mean, dtype=np.result_type(data, params.mean, params.std))
+    """(data - mean) / std as one new array in the weights' dtype."""
+    x = np.subtract(data, params.mean, dtype=params.dtype)
     x /= params.std
     return x
 
 
 def forward(params: ModelParams, feat: FeatureMatrix | np.ndarray):
     """Posteriorgram plus root and pitch-class probabilities per frame."""
-    data = feat.data if isinstance(feat, FeatureMatrix) else np.asarray(feat, dtype=np.float64)
+    data = feat.data if isinstance(feat, FeatureMatrix) else np.asarray(feat)
     if data.ndim != 2 or data.shape[1] != params.n_bins:
         raise DimensionMismatch(
             f"expected n x {params.n_bins} input, got {data.shape}")
@@ -306,15 +321,21 @@ def _targets(targets, vocab: Vocabulary):
 
 
 def _loss(outputs, targets, weights: np.ndarray, gamma: float, idx: np.ndarray) -> float:
-    """Structured, class-weighted loss over the frames ``idx``."""
+    """Structured, class-weighted loss over the frames ``idx``.
+
+    The logs are taken in float64 on the gathered entries: in float32,
+    ``1 - 1e-12`` rounds to 1 and ``1e-300`` to 0, so a saturated sigmoid or
+    an underflowed softmax entry would give an infinite loss."""
     post, root_probs, pitch_probs = outputs
     chord_t, root_t, pitch_t = targets
     eps = 1e-300
     w_frame = weights[chord_t[idx]]
-    l_chord = float(np.mean(-w_frame * np.log(post[idx, chord_t[idx]] + eps)))
-    l_root = float(np.mean(-np.log(root_probs[idx, root_t[idx]] + eps)))
+    p_chord = post[idx, chord_t[idx]].astype(np.float64)
+    p_root = root_probs[idx, root_t[idx]].astype(np.float64)
+    l_chord = float(np.mean(-w_frame * np.log(p_chord + eps)))
+    l_root = float(np.mean(-np.log(p_root + eps)))
     p_t = pitch_t[idx]
-    pp = np.clip(pitch_probs[idx], 1e-12, 1 - 1e-12)
+    pp = np.clip(pitch_probs[idx].astype(np.float64), 1e-12, 1 - 1e-12)
     l_pitch = float(np.mean(-(p_t * np.log(pp) + (1 - p_t) * np.log(1 - pp))))
     return gamma * l_chord + (1.0 - gamma) * (l_root + l_pitch)
 
@@ -402,10 +423,13 @@ class _AdamState:
 def _adam_step(params: ModelParams, grads: dict, state: _AdamState, lr: float) -> None:
     state.t += 1
     for key, g in grads.items():
-        state.m[key] = ADAM_BETA1 * state.m[key] + (1 - ADAM_BETA1) * g
-        state.v[key] = ADAM_BETA2 * state.v[key] + (1 - ADAM_BETA2) * g * g
-        m_hat = state.m[key] / (1 - ADAM_BETA1 ** state.t)
-        v_hat = state.v[key] / (1 - ADAM_BETA2 ** state.t)
+        m, v = state.m[key], state.v[key]  # in the weights' dtype, updated in place
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g * g
+        m_hat = m / (1 - ADAM_BETA1 ** state.t)
+        v_hat = v / (1 - ADAM_BETA2 ** state.t)
         params.weights[key] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
@@ -443,11 +467,12 @@ def _column_moments(blocks: list[np.ndarray]):
 def _standardized_init(arch: str, blocks: list[np.ndarray], vocab: Vocabulary,
                        cfg: TrainConfig, hidden_units: int, context: int) -> ModelParams:
     """Fresh parameters whose input standardization is fitted to the rows of
-    ``blocks``."""
+    ``blocks``, with weights in the rows' dtype."""
     params = init_params(arch, blocks[0].shape[1], vocab, hidden_units=hidden_units,
                          context=context, seed=cfg.seed)
     params.mean, std = _column_moments(blocks)
     params.std = np.where(std > 1e-8, std, 1.0)
+    params.weights = {k: v.astype(params.mean.dtype) for k, v in params.weights.items()}
     return params
 
 
@@ -470,7 +495,7 @@ def _patch_batches(rng, dataset, ids_per_song, cfg: TrainConfig, vocab: Vocabula
     for b in range(0, len(patches), cfg.batch_size):
         batch = patches[b:b + cfg.batch_size]
         longest = max(x.shape[0] for x, _ in batch)
-        xs = np.zeros((len(batch), longest, n_bins))
+        xs = np.zeros((len(batch), longest, n_bins), dtype=np.result_type(*(x for x, _ in batch)))
         ys = np.zeros((len(batch), longest), dtype=np.int64)
         mask = np.zeros((len(batch), longest), dtype=bool)
         for j, (x, y) in enumerate(batch):
@@ -558,7 +583,8 @@ def fit_rows(rows: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
     Skips patch sampling and augmentation; one pass over shuffled rows per
     epoch in batches of cfg.batch_size.
     """
-    rows = np.asarray(rows, dtype=np.float64)
+    rows = np.asarray(rows)
+    rows = rows.astype(np.promote_types(rows.dtype, np.float32), copy=False)
     targets = np.asarray(targets, dtype=np.int64)
     if rows.size == 0:
         raise EmptyDataset("no rows to fit")
@@ -639,11 +665,12 @@ def load_checkpoint(path) -> ModelParams:
                              n_classes=meta["n_classes"],
                              hidden_units=meta["hidden_units"],
                              context=meta["context"], vocab_hash=meta["vocab_hash"])
-        params.mean = arrays["mean"].astype(np.float64)
-        params.std = arrays["std"].astype(np.float64)
+        params.mean = arrays["mean"].astype(np.float32, copy=False)
+        params.std = arrays["std"].astype(np.float32, copy=False)
     except KeyError as exc:
         raise BadCheckpoint(f"{path}: missing {exc}") from None
-    params.weights = {k[2:]: v.astype(np.float64) for k, v in arrays.items() if k.startswith("w_")}
+    params.weights = {k[2:]: v.astype(np.float32, copy=False)
+                      for k, v in arrays.items() if k.startswith("w_")}
     if params.arch not in WEIGHT_NAMES:
         raise BadCheckpoint(f"{path}: unknown architecture {params.arch!r}")
     missing = sorted(set(WEIGHT_NAMES[params.arch]) - set(params.weights))

@@ -76,6 +76,19 @@ class TestTrain:
         assert len(history) == 8
         assert "val_loss" in history[0]
 
+    def test_manifest_records_the_checkpoint_context(self, trained):
+        manifest = json.loads((trained / "run_manifest.json").read_text())
+        with np.load(trained / "model.npz") as data:
+            meta = json.loads(str(data["meta"]))
+        assert manifest["config"]["context"] == meta["context"] == 0
+
+    def test_context_with_logistic_exits_one(self, dataset, tmp_path, capsys):
+        out = tmp_path / "m"
+        assert run(["train", "--data", dataset, "--arch", "logistic", "--context", 2,
+                    "--epochs", 1, "--out", out]) == 1
+        assert _one_json_error(capsys)["error"] == "ChordkitError"
+        assert not out.exists()
+
     def test_empty_data_dir_exits_one(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -306,6 +308,73 @@ class TestInputsUntouched:
         loss_and_grads(params, data, ids[0], weights, 0.7, V26)
         evaluate(params, ds, ids, weights, 0.7, V26)
         assert self._snapshot(params, data, ids[0], weights, mask) == before
+
+
+class TestDtype:
+    """The model computes in its weights' dtype, the weights follow the
+    training rows' dtype, and the loss is taken in float64."""
+
+    def test_saturated_float32_batch_has_the_float64_loss(self):
+        rng = np.random.default_rng(0)
+        n_bins, n = 6, 60
+        params = init_params("logistic", n_bins, V26, seed=1, scale=1.0)
+        w = params.weights
+        # bins 0-2 pin their chord and root logits 150 above the rest and their
+        # pitch logits at +-40, so in float32 the other chord probabilities
+        # underflow to 0 and the sigmoid reaches 1.0; bins 3-5 stay moderate
+        bins = rng.integers(0, n_bins, size=n)
+        chord_of_bin = rng.integers(0, V26.n_id, size=n_bins)
+        for b in range(3):
+            c = chord_of_bin[b]
+            w["Wc"][b, c] += 150.0
+            w["Wr"][b, root_targets(np.array([c]), V26)[0]] += 150.0
+            w["Wp"][b] = 40.0 * (2.0 * pitch_targets(np.array([c]), V26)[0] - 1.0)
+        y = np.where(bins < 3, chord_of_bin[bins], rng.integers(0, V26.size, size=n))
+        data = np.eye(n_bins)[bins]
+        weights = class_weights(rng.integers(1, 50, size=V26.size).astype(float), 0.3)
+
+        p32 = replace(params, weights={k: v.astype(np.float32) for k, v in w.items()},
+                      mean=params.mean.astype(np.float32), std=params.std.astype(np.float32))
+        post, _, pitch = forward(p32, FeatureMatrix(data=data.astype(np.float32), hop=0.1))
+        assert post.dtype == np.float32 and (post == 0.0).any() and (pitch == 1.0).any()
+        loss32, grads32 = loss_and_grads(p32, data.astype(np.float32), y, weights, 0.7, V26)
+        loss64, _ = loss_and_grads(params, data, y, weights, 0.7, V26)
+        assert np.isfinite(loss32) and all(np.isfinite(g).all() for g in grads32.values())
+        assert loss32 == pytest.approx(loss64, rel=1e-5)
+        # a pinned frame labelled N: its chord and root targets underflowed to
+        # 0 and its pitch targets are 0 where the sigmoid is 1.0
+        y[np.flatnonzero(bins < 3)[0]] = V26.n_id
+        loss32, _ = loss_and_grads(p32, data.astype(np.float32), y, weights, 0.7, V26)
+        assert np.isfinite(loss32)
+
+    @pytest.mark.parametrize("arch", ["logistic", "hidden"])
+    def test_train_on_float32_features_trains_float32(self, arch):
+        ds = tiny_dataset()
+        params, _ = train(ds[:2], ds[2:], TrainConfig(epochs=2, seed=0), V26, arch=arch,
+                          hidden_units=5, context=1)
+        arrays = [params.mean, params.std, *params.weights.values()]
+        assert all(a.dtype == np.float32 for a in arrays)
+        assert all(out.dtype == np.float32 for out in forward(params, ds[0][0]))
+
+    def test_load_checkpoint_keeps_float32(self, tmp_path):
+        save_checkpoint(init_params("hidden", 8, V26, hidden_units=4, context=2, seed=9),
+                        tmp_path / "model.npz")
+        loaded = load_checkpoint(tmp_path / "model.npz")
+        arrays = [loaded.mean, loaded.std, *loaded.weights.values()]
+        assert all(a.dtype == np.float32 for a in arrays)
+
+    @pytest.mark.parametrize("arch", ["logistic", "hidden"])
+    def test_float64_stays_float64(self, arch):
+        rng = np.random.default_rng(4)
+        data = rng.normal(size=(30, 6))
+        y = rng.integers(0, V26.size, size=30)
+        params = init_params(arch, 6, V26, hidden_units=4, context=1, seed=2)
+        assert all(out.dtype == np.float64 for out in forward(params, data))
+        _, grads = loss_and_grads(params, data, y, np.ones(V26.size), 0.7, V26)
+        assert all(g.dtype == np.float64 for g in grads.values())
+        fitted, _ = fit_rows(data, y, TrainConfig(epochs=2), V26, arch=arch, hidden_units=4)
+        arrays = [fitted.mean, fitted.std, *fitted.weights.values()]
+        assert all(a.dtype == np.float64 for a in arrays)
 
 
 class TestOptim:
