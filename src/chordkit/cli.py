@@ -30,11 +30,13 @@ def _log(message: str) -> None:
 
 
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
-                    inputs: list[str], outputs: list[str]) -> None:
+                    inputs: list[str], outputs: list[str], **recorded) -> None:
+    """run_manifest.json; ``recorded`` overrides the config values of args."""
+    config = {**vars(args), **recorded}
     manifest = {
         "toolkit_version": __version__,
         "command": command,
-        "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
+        "config": {k: v for k, v in sorted(config.items()) if k != "func"},
         "inputs": sorted(inputs),
         "outputs": sorted(outputs),
     }
@@ -117,10 +119,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.context is None:
-        args.context = 5 if args.arch == "hidden" else 0
-    elif args.arch != "hidden":
-        raise ChordkitError(f"--context applies to --arch hidden only, not {args.arch}")
+    # omitted sizes take model.train's defaults
+    sizes = {k: v for k, v in (("hidden_units", args.hidden_units), ("context", args.context))
+             if v is not None}
+    if sizes and args.arch != "hidden":
+        raise ChordkitError(f"--hidden-units and --context apply to --arch hidden only, "
+                            f"not {args.arch}")
     vocab = get_vocabulary(args.vocab)
     pairs = _dataset_pairs(Path(args.data))
     if not pairs:
@@ -134,8 +138,7 @@ def cmd_train(args) -> int:
         shift_probability=args.shift_prob, weight_alpha=args.alpha,
         structured_gamma=args.gamma, seed=args.seed)
     params, history = model.train(train_set, val_set, cfg, vocab,
-                                  arch=args.arch, hidden_units=args.hidden_units,
-                                  context=args.context)
+                                  arch=args.arch, **sizes)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     model.save_checkpoint(params, out_dir / "model.npz")
@@ -143,7 +146,8 @@ def cmd_train(args) -> int:
         for record in history:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     _write_manifest(out_dir, "train", args,
-                    [str(p) for p, _ in pairs], ["model.npz", "history.jsonl"])
+                    [str(p) for p, _ in pairs], ["model.npz", "history.jsonl"],
+                    hidden_units=params.hidden_units, context=params.context)
     _log(f"trained {args.arch} model on {len(train_set)} songs -> {out_dir / 'model.npz'}")
     return 0
 
@@ -328,9 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[vocab, seed, out], help="train a frame-wise classifier")
     p.add_argument("--data", required=True)
     p.add_argument("--arch", default="logistic", choices=("logistic", "hidden"))
-    p.add_argument("--hidden-units", type=int, default=64)
+    p.add_argument("--hidden-units", type=int, help="hidden layer width, --arch hidden only")
     p.add_argument("--context", type=int,
-                   help="frames of context on each side, hidden only (default 5)")
+                   help="frames of context on each side, --arch hidden only")
     p.add_argument("--epochs", type=int, default=150)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--patch-seconds", type=float, default=10.0)

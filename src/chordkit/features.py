@@ -213,11 +213,10 @@ def beat_intervals(beats: list[float], division: str = "1",
     base = list(zip(edges, edges[1:]))
     if division in ("0.25", "0.5"):
         parts = 4 if division == "0.25" else 2
-        start = np.array(edges[:-1], dtype=np.float64)[:, None]
-        step = (np.array(edges[1:], dtype=np.float64)[:, None] - start) / parts
-        # part j of each beat runs from start + j * step to start + (j + 1) * step
-        bounds = start + np.arange(parts + 1) * step
-        out = list(zip(bounds[:, :-1].ravel().tolist(), bounds[:, 1:].ravel().tolist()))
+        out = []
+        for start, end in base:
+            step = (end - start) / parts
+            out.extend((start + j * step, start + (j + 1) * step) for j in range(parts))
     elif division == "1":
         out = base
     elif division == "2":

@@ -423,13 +423,10 @@ class _AdamState:
 def _adam_step(params: ModelParams, grads: dict, state: _AdamState, lr: float) -> None:
     state.t += 1
     for key, g in grads.items():
-        m, v = state.m[key], state.v[key]  # in the weights' dtype, updated in place
-        m *= ADAM_BETA1
-        m += (1 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1 - ADAM_BETA2) * g * g
-        m_hat = m / (1 - ADAM_BETA1 ** state.t)
-        v_hat = v / (1 - ADAM_BETA2 ** state.t)
+        state.m[key] = ADAM_BETA1 * state.m[key] + (1 - ADAM_BETA1) * g
+        state.v[key] = ADAM_BETA2 * state.v[key] + (1 - ADAM_BETA2) * g * g
+        m_hat = state.m[key] / (1 - ADAM_BETA1 ** state.t)
+        v_hat = state.v[key] / (1 - ADAM_BETA2 ** state.t)
         params.weights[key] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 

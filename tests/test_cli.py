@@ -76,17 +76,33 @@ class TestTrain:
         assert len(history) == 8
         assert "val_loss" in history[0]
 
-    def test_manifest_records_the_checkpoint_context(self, trained):
-        manifest = json.loads((trained / "run_manifest.json").read_text())
-        with np.load(trained / "model.npz") as data:
+    @staticmethod
+    def _recorded_sizes(out):
+        config = json.loads((out / "run_manifest.json").read_text())["config"]
+        with np.load(out / "model.npz") as data:
             meta = json.loads(str(data["meta"]))
-        assert manifest["config"]["context"] == meta["context"] == 0
+        return ({k: config[k] for k in ("hidden_units", "context")},
+                {k: meta[k] for k in ("hidden_units", "context")})
 
-    def test_context_with_logistic_exits_one(self, dataset, tmp_path, capsys):
+    def test_manifest_records_the_checkpoint_sizes(self, trained):
+        recorded, stored = self._recorded_sizes(trained)
+        assert recorded == stored == {"hidden_units": 0, "context": 0}
+
+    def test_hidden_manifest_records_the_checkpoint_sizes(self, dataset, tmp_path):
         out = tmp_path / "m"
-        assert run(["train", "--data", dataset, "--arch", "logistic", "--context", 2,
+        assert run(["train", "--data", dataset, "--arch", "hidden", "--hidden-units", 4,
+                    "--epochs", 1, "--patch-seconds", 2, "--out", out]) == 0
+        recorded, stored = self._recorded_sizes(out)
+        assert recorded == stored
+        assert stored["hidden_units"] == 4 and stored["context"] > 0
+
+    @pytest.mark.parametrize("flag", ["--context", "--hidden-units"])
+    def test_size_with_logistic_exits_one(self, dataset, tmp_path, capsys, flag):
+        out = tmp_path / "m"
+        assert run(["train", "--data", dataset, "--arch", "logistic", flag, 2,
                     "--epochs", 1, "--out", out]) == 1
-        assert _one_json_error(capsys)["error"] == "ChordkitError"
+        error = _one_json_error(capsys)
+        assert error["error"] == "ChordkitError" and flag in error["message"]
         assert not out.exists()
 
     def test_empty_data_dir_exits_one(self, tmp_path, capsys):

@@ -260,48 +260,7 @@ class TestPitchShift:
             pitch_shift_cqt(feat, 12)
 
 
-def loop_beat_intervals(beats, division, duration=None):
-    """``beat_intervals`` as it was before it subdivided beats with numpy: a
-    Python loop over the beat intervals (the reference)."""
-    edges = list(beats)
-    if edges[0] > 0:
-        edges = [0.0] + edges
-    if duration is not None and duration > edges[-1] + 1e-9:
-        edges.append(duration)
-    base = list(zip(edges, edges[1:]))
-    if division in ("0.25", "0.5"):
-        parts = 4 if division == "0.25" else 2
-        out = []
-        for start, end in base:
-            step = (end - start) / parts
-            out.extend((start + j * step, start + (j + 1) * step) for j in range(parts))
-        return tuple(out)
-    if division == "1":
-        return tuple(base)
-    return tuple((base[i][0], base[min(i + 1, len(base) - 1)][1])
-                 for i in range(0, len(base), 2))
-
-
 class TestBeatIntervals:
-    @pytest.mark.parametrize("division", ["0.25", "0.5", "1", "2"])
-    @pytest.mark.parametrize("with_tail", [False, True])
-    @settings(max_examples=100, deadline=None)
-    @given(first=st.floats(0.0, 5.0), gaps=st.lists(st.floats(1e-3, 10.0), min_size=1,
-                                                     max_size=40),
-           tail=st.floats(1e-3, 20.0))
-    def test_equals_loop_reference(self, division, with_tail, first, gaps, tail):
-        beats = np.cumsum([first] + gaps).tolist()
-        duration = beats[-1] + tail if with_tail else None
-        expected = loop_beat_intervals(beats, division, duration)
-        try:
-            got = beat_intervals(beats, division, duration=duration).intervals
-        except EmptyBeatList:  # e.g. a beat at 5e-324 leaves zero-length parts
-            with pytest.raises(EmptyBeatList):
-                BeatIntervals(intervals=expected, division=division)
-            return
-        assert got == expected
-        assert all(type(t) is float for interval in got for t in interval)
-
     def test_load_beats(self, tmp_path):
         path = tmp_path / "beats.txt"
         path.write_text("0.5\n1.0\n1.5\n", encoding="utf-8")
