@@ -180,11 +180,12 @@ def interval_labels(ann: Annotation, intervals, vocab: Vocabulary) -> np.ndarray
     bounds = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
     dur, row, cid = intersect((bounds[:, 0], bounds[:, 1], np.arange(len(bounds))),
                               path_columns(path_from_annotation(ann, vocab)))
-    overlap = np.zeros((len(bounds), vocab.size))
-    np.add.at(overlap, (row, cid), dur)
+    cell = row * vocab.size + cid
+    # astype: bincount gives ints when no piece is covered
+    overlap = np.bincount(cell, dur, len(bounds) * vocab.size).reshape(-1, vocab.size).astype(float)
     # covered time adds each interval's class totals in order of first
     # appearance, the order that fixes its rounding and so the N threshold and ties
-    first = np.sort(np.unique(row * vocab.size + cid, return_index=True)[1])
+    first = np.sort(np.unique(cell, return_index=True)[1])
     covered = np.bincount(row[first], overlap[row[first], cid[first]], minlength=len(bounds))
     uncovered = (bounds[:, 1] - bounds[:, 0]) - covered
     overlap[:, vocab.n_id] += np.where(uncovered > 1e-9, uncovered, 0.0)
@@ -220,11 +221,15 @@ def _standardize(signal: np.ndarray) -> np.ndarray:
 
 
 def alignment_lag(feat, ann: Annotation, window_frames: int = 50) -> int:
-    """Lag (in frames) maximizing the normalized cross-correlation between
-    the feature-derivative magnitude and the chord-change vector.
+    """Lag (in frames) maximizing the cross-correlation between the
+    standardized feature-derivative magnitude and chord-change vector.
 
-    Positive lag means the features change after the annotations. Ties are
-    broken toward the smallest absolute lag.
+    A chord change is marked at the first frame whose center lies in the
+    new segment, the frame where :func:`frame_labels` switches. Every lag's
+    dot product is divided by the frame count, not by its overlap, so a
+    long lag with a short overlap does not outscore the true one. Positive
+    lag means the features change after the annotations. Ties are broken
+    toward the smallest absolute lag.
     """
     if window_frames <= 0:
         raise ValueError("window_frames must be positive")
@@ -232,7 +237,8 @@ def alignment_lag(feat, ann: Annotation, window_frames: int = 50) -> int:
     grid = FrameGrid(hop=feat.hop if hasattr(feat, "hop") else DEFAULT_HOP,
                      n_frames=data.shape[0])
     deriv = _standardize(feature_derivative_signal(data))
-    changes = _standardize(chord_change_signal(ann, grid))
+    segment = segment_index(ann, grid.centers())
+    changes = _standardize((np.diff(segment, prepend=segment[:1]) != 0).astype(np.float64))
 
     n = len(deriv)
     best_lag, best_score = 0, -np.inf
@@ -245,7 +251,7 @@ def alignment_lag(feat, ann: Annotation, window_frames: int = 50) -> int:
             a, b = deriv[: n + lag], changes[-lag:]
         if len(a) == 0:
             continue
-        score = float(np.dot(a, b)) / len(a)
+        score = float(np.dot(a, b)) / n
         if score > best_score:
             best_score, best_lag = score, lag
     return best_lag

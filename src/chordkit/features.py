@@ -130,14 +130,15 @@ def render_synthetic_cqt(ann: Annotation, grid: FrameGrid,
     """
     pcs = bin_pitch_classes(params.n_bins, params.bins_per_octave)
     octaves = np.arange(params.n_bins) // params.bins_per_octave
+    peak = (params.peak_db - params.octave_rolloff_db * octaves).astype(np.float32)
 
-    # one row per segment, then a floor row for frames outside every segment
-    # (index -1); N and X segments stay at the floor
-    rows = np.full((len(ann.segments) + 1, params.n_bins), params.floor_db, dtype=np.float32)
+    # pitch-class membership per segment, then an empty row for frames outside
+    # every segment (index -1); N and X segments have no members
+    members = np.zeros((len(ann.segments) + 1, 12), dtype=bool)
     for seg, (_, _, label) in enumerate(ann.segments):
         if label.is_chord():
-            mask = np.isin(pcs, list(harte.pitch_class_set(label)))
-            rows[seg, mask] = params.peak_db - params.octave_rolloff_db * octaves[mask]
+            members[seg, list(harte.pitch_class_set(label))] = True
+    rows = np.where(members[:, pcs], peak, np.float32(params.floor_db))
     data = rows[segment_index(ann, grid.centers())]
 
     if params.noise_db > 0:
@@ -172,7 +173,6 @@ class BeatIntervals:
     """Contiguous, increasing (start, end) intervals derived from beats."""
 
     intervals: tuple[tuple[float, float], ...]
-    division: str = "1"
 
     def __post_init__(self):
         if not self.intervals:
@@ -223,15 +223,12 @@ def beat_intervals(beats: list[float], division: str = "1",
         out = [(base[i][0], base[min(i + 1, len(base) - 1)][1]) for i in range(0, len(base), 2)]
     else:
         raise ValueError(f"unknown beat division {division!r}")
-    return BeatIntervals(intervals=tuple(out), division=division)
+    return BeatIntervals(intervals=tuple(out))
 
 
 def perfect_intervals(ann: Annotation) -> BeatIntervals:
     """Intervals taken directly from annotation segment boundaries."""
-    return BeatIntervals(
-        intervals=tuple((start, end) for start, end, _ in ann.segments),
-        division="perfect",
-    )
+    return BeatIntervals(intervals=tuple((start, end) for start, end, _ in ann.segments))
 
 
 def beat_pool(feat: FeatureMatrix, beats: BeatIntervals) -> tuple[FeatureMatrix, BeatIntervals]:

@@ -141,10 +141,11 @@ def _total(durations: np.ndarray) -> float:
 def _accumulate(kind: MetricKind, songs, vocab: Vocabulary):
     """(correct_time, defined_time) overall and per reference class."""
     dur, ref, correct = _defined_pieces(kind, songs, vocab)
-    per_class = {}
-    for c in np.unique(ref):
-        mine = ref == c
-        per_class[int(c)] = [_total(dur[mine & correct]), _total(dur[mine])]
+    # bincount adds each class's pieces left to right, as _total does; an
+    # incorrect piece adds 0.0, which leaves a sum of durations unchanged
+    right = np.bincount(ref, dur * correct, vocab.size).tolist()
+    defined = np.bincount(ref, dur, vocab.size).tolist()
+    per_class = {c: [right[c], defined[c]] for c in np.unique(ref).tolist()}
     return _total(dur[correct]), _total(dur), per_class
 
 
@@ -186,12 +187,13 @@ def confusion_matrix(axis: str, songs_as_frames, vocab: Vocabulary,
         raise ValueError(f"axis must be 'quality' or 'root', got {axis!r}")
     n = len(vocab.qualities) + 2 if axis == "quality" else 14
     index = vocab.tables.quality if axis == "quality" else vocab.tables.root
-    matrix = np.zeros((n, n), dtype=np.float64)
+    cells = [np.empty(0, dtype=np.int64)]
     for ref_ids, est_ids in songs_as_frames:
         ref_ids, est_ids = check_ids(ref_ids, vocab), check_ids(est_ids, vocab)
         if ref_ids.shape != est_ids.shape:
             raise LengthMismatch("ref and est frame lists differ in length")
-        np.add.at(matrix, (index[ref_ids], index[est_ids]), 1)
+        cells.append(index[ref_ids] * n + index[est_ids])
+    matrix = np.bincount(np.concatenate(cells), minlength=n * n).reshape(n, n).astype(np.float64)
     if row_normalize:
         sums = matrix.sum(axis=1, keepdims=True)
         nonzero = sums[:, 0] > 0

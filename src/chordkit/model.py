@@ -69,10 +69,6 @@ N_ROOT_CLASSES = 14  # 12 roots + N + X
 N_PITCH_CLASSES = 12
 N_AUX = N_ROOT_CLASSES + N_PITCH_CLASSES  # root and pitch-class logits
 SHIFT_CHOICES = (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6)
-WEIGHT_NAMES = {
-    "logistic": ("Wc", "bc", "Wr", "br", "Wp", "bp"),
-    "hidden": ("W1", "b1", "Wr", "br", "Wp", "bp", "W2", "b2"),
-}
 COUNT_GUARD = 10.0
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -121,6 +117,20 @@ class ModelParams:
             return self.n_bins * (2 * self.context + 1)
         return self.n_bins
 
+    @property
+    def weight_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Shape of each weight array of the architecture, in the order
+        :func:`init_params` draws them."""
+        d, h, C = self.input_dim, self.hidden_units, self.n_classes
+        if self.arch == "logistic":
+            return {"Wc": (d, C), "bc": (C,), "Wr": (d, N_ROOT_CLASSES), "br": (N_ROOT_CLASSES,),
+                    "Wp": (d, N_PITCH_CLASSES), "bp": (N_PITCH_CLASSES,)}
+        if self.arch == "hidden":
+            return {"W1": (d, h), "b1": (h,), "Wr": (h, N_ROOT_CLASSES), "br": (N_ROOT_CLASSES,),
+                    "Wp": (h, N_PITCH_CLASSES), "bp": (N_PITCH_CLASSES,),
+                    "W2": (h + N_AUX, C), "b2": (C,)}
+        raise ValueError(f"unknown architecture {self.arch!r}")
+
 
 def init_params(arch: str, n_bins: int, vocab: Vocabulary, hidden_units: int = 64,
                 context: int = 5, seed: int = 0, scale: float = 0.01) -> ModelParams:
@@ -130,24 +140,10 @@ def init_params(arch: str, n_bins: int, vocab: Vocabulary, hidden_units: int = 6
                          hidden_units=hidden_units if arch == "hidden" else 0,
                          context=context if arch == "hidden" else 0,
                          vocab_hash=vocab_mod.manifest_hash(vocab))
-    d = params.input_dim
-
-    def mat(rows, cols):
-        return (rng.standard_normal((rows, cols)) * scale).astype(np.float64)
-
-    w = params.weights
-    if arch == "logistic":
-        w["Wc"], w["bc"] = mat(d, C), np.zeros(C)
-        w["Wr"], w["br"] = mat(d, N_ROOT_CLASSES), np.zeros(N_ROOT_CLASSES)
-        w["Wp"], w["bp"] = mat(d, N_PITCH_CLASSES), np.zeros(N_PITCH_CLASSES)
-    elif arch == "hidden":
-        h = hidden_units
-        w["W1"], w["b1"] = mat(d, h), np.zeros(h)
-        w["Wr"], w["br"] = mat(h, N_ROOT_CLASSES), np.zeros(N_ROOT_CLASSES)
-        w["Wp"], w["bp"] = mat(h, N_PITCH_CLASSES), np.zeros(N_PITCH_CLASSES)
-        w["W2"], w["b2"] = mat(h + N_AUX, C), np.zeros(C)
-    else:
-        raise ValueError(f"unknown architecture {arch!r}")
+    # matrices draw from the generator in table order; biases start at zero
+    for name, shape in params.weight_shapes.items():
+        params.weights[name] = (rng.standard_normal(shape) * scale if len(shape) == 2
+                                else np.zeros(shape))
     params.mean = np.zeros(n_bins)
     params.std = np.ones(n_bins)
     return params
@@ -176,9 +172,8 @@ def expected_counts(counts: np.ndarray, p: float, vocab: Vocabulary) -> np.ndarr
     counts = np.asarray(counts, dtype=np.float64)
     out = counts.copy()
     n_chord = vocab.n_id
-    spread = np.zeros(n_chord)
-    for k in range(12):  # in this order, so that sums match a running total
-        spread += counts[vocab.tables.shifted[-k % 12, :n_chord]]
+    # row k: the count k semitones below; the axis-0 sum adds rows 0..11 in order
+    spread = counts[vocab.tables.shifted[-np.arange(12) % 12, :n_chord]].sum(axis=0)
     out[:n_chord] = (1.0 - p) * counts[:n_chord] + (p / 12.0) * spread
     return out
 
@@ -653,8 +648,10 @@ def load_checkpoint(path) -> ModelParams:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     Raises BadCheckpoint when the file is not a readable archive, when the
-    metadata is missing, is not JSON or lacks a field, or when an array the
-    architecture needs is missing.
+    metadata is missing, is not JSON or lacks a field, when a size in it is
+    not an int >= 0, when an array the architecture needs is missing, has
+    another shape than the sizes give or holds a non-finite value, or when
+    a ``std`` entry is not positive.
     """
     arrays, meta = _read_archive(path, BadCheckpoint)
     try:
@@ -662,17 +659,31 @@ def load_checkpoint(path) -> ModelParams:
                              n_classes=meta["n_classes"],
                              hidden_units=meta["hidden_units"],
                              context=meta["context"], vocab_hash=meta["vocab_hash"])
-        params.mean = arrays["mean"].astype(np.float32, copy=False)
-        params.std = arrays["std"].astype(np.float32, copy=False)
     except KeyError as exc:
         raise BadCheckpoint(f"{path}: missing {exc}") from None
-    params.weights = {k[2:]: v.astype(np.float32, copy=False)
-                      for k, v in arrays.items() if k.startswith("w_")}
-    if params.arch not in WEIGHT_NAMES:
-        raise BadCheckpoint(f"{path}: unknown architecture {params.arch!r}")
-    missing = sorted(set(WEIGHT_NAMES[params.arch]) - set(params.weights))
+    sizes = (params.n_bins, params.n_classes, params.hidden_units, params.context)
+    if not all(type(size) is int and size >= 0 for size in sizes):
+        raise BadCheckpoint(f"{path}: sizes {sizes} are not all ints >= 0")
+    try:
+        shapes = {"mean": (params.n_bins,), "std": (params.n_bins,),
+                  **{f"w_{name}": shape for name, shape in params.weight_shapes.items()}}
+    except ValueError as exc:  # an unknown architecture
+        raise BadCheckpoint(f"{path}: {exc}") from None
+    missing = sorted(set(shapes) - set(arrays))
     if missing:
-        raise BadCheckpoint(f"{path}: missing weights {missing}")
+        raise BadCheckpoint(f"{path}: missing arrays {missing}")
+    for key, shape in shapes.items():
+        array = arrays[key]
+        if array.shape != shape or array.dtype.kind not in "biuf":
+            raise BadCheckpoint(f"{path}: {key} is {array.dtype} {array.shape}; "
+                                f"the sizes give {shape}")
+        arrays[key] = array.astype(np.float32, copy=False)
+        if not np.isfinite(arrays[key]).all():
+            raise BadCheckpoint(f"{path}: {key} holds a non-finite value")
+    if not (arrays["std"] > 0).all():
+        raise BadCheckpoint(f"{path}: std holds a value <= 0")
+    params.mean, params.std = arrays["mean"], arrays["std"]
+    params.weights = {name: arrays[f"w_{name}"] for name in params.weight_shapes}
     return params
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .annotate import Annotation
 from .errors import MissingQuality
 from .harte import ChordKind, ChordLabel
-from .vocab import Vocabulary
+from .vocab import Vocabulary, check_ids
 
 RATIO_EPS = 1e-6
 
@@ -137,28 +137,25 @@ def calibration_ratios(train_dist: np.ndarray, target_dist: np.ndarray,
     """Quality-level target/train probability ratios, averaged over roots."""
     train_dist = np.asarray(train_dist, dtype=np.float64)
     target_dist = np.asarray(target_dist, dtype=np.float64)
-    ratios = {}
-    for qi, quality in enumerate(vocab.qualities):
-        ids = np.arange(qi * 12, (qi + 1) * 12)
-        per_root = (target_dist[ids] + RATIO_EPS) / (train_dist[ids] + RATIO_EPS)
-        ratios[quality] = float(per_root.mean())
-    return CalibrationTable(ratios=ratios)
+    # [quality, root] ids: each quality's root-C id transposed to every root
+    ids = vocab.tables.shifted[:, vocab.tables.root == 0].T
+    per_root = (target_dist[ids] + RATIO_EPS) / (train_dist[ids] + RATIO_EPS)
+    return CalibrationTable(ratios=dict(zip(vocab.qualities, per_root.mean(axis=1).tolist())))
 
 
 def apply_calibration(logits: np.ndarray, table: CalibrationTable,
                       vocab: Vocabulary) -> np.ndarray:
     """Add log ratios to chord-class logits; N and X are left unchanged."""
     out = np.array(logits, dtype=np.float64, copy=True)
-    for qi, quality in enumerate(vocab.qualities):
-        out[:, qi * 12:(qi + 1) * 12] += np.log(table.ratio(quality))
+    log_ratio = np.log([table.ratio(quality) for quality in vocab.qualities])
+    out[:, :vocab.n_id] += log_ratio[vocab.tables.quality[:vocab.n_id]]
     return out
 
 
 def id_distribution(ids_per_song, vocab: Vocabulary) -> np.ndarray:
     """Empirical class distribution over per-song frame id arrays."""
-    counts = np.zeros(vocab.size)
-    for ids in ids_per_song:
-        counts += np.bincount(np.asarray(ids), minlength=vocab.size)
+    ids = np.concatenate([np.empty(0, dtype=np.int64), *map(np.asarray, ids_per_song)])
+    counts = np.bincount(check_ids(ids, vocab), minlength=vocab.size).astype(np.float64)
     total = counts.sum()
     return counts / total if total > 0 else counts
 

@@ -29,18 +29,13 @@ from .harte import ChordKind, ChordLabel, QUALITY_TEMPLATES
 
 MANIFEST_VERSION = 1
 
-_TRIAD_FALLBACK = [
-    ("maj", frozenset({0, 4, 7})),
-    ("min", frozenset({0, 3, 7})),
-    ("dim", frozenset({0, 3, 6})),
-    ("aug", frozenset({0, 4, 8})),
-]
+_TRIAD_FALLBACK = ("maj", "min", "dim", "aug")
 
 # Comparator rules, applied per quality when the verdict tables are built.
 _THIRD_SLOT = (3, 4, 2, 5)  # checked in this order; min before maj before sus
 _SEVENTH_SLOT = (11, 10, 9)
 _SEVENTH_REF_QUALITIES = {"maj", "min", "maj7", "min7", "7"}
-_MAJ_TRIAD, _MIN_TRIAD = frozenset({0, 4, 7}), frozenset({0, 3, 7})
+_MAJ_TRIAD, _MIN_TRIAD = QUALITY_TEMPLATES["maj"], QUALITY_TEMPLATES["min"]
 
 
 @dataclass(frozen=True)
@@ -190,12 +185,12 @@ def map_label(label: ChordLabel, vocab: Vocabulary) -> int:
 
     pcs = harte.pitch_class_set(label)
     relative = frozenset((p - label.root) % 12 for p in pcs)
-    for qi, template in enumerate(vocab.templates):
+    for quality, template in zip(vocab.qualities, vocab.templates):
         if relative == template:
-            return qi * 12 + label.root
-    for name, triad in _TRIAD_FALLBACK:
-        if name in vocab.qualities and triad <= relative:
-            return vocab.quality_index(name) * 12 + label.root
+            return vocab.chord_id(label.root, quality)
+    for quality in _TRIAD_FALLBACK:
+        if quality in vocab.qualities and QUALITY_TEMPLATES[quality] <= relative:
+            return vocab.chord_id(label.root, quality)
     return vocab.x_id
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -236,6 +237,21 @@ class TestAlignment:
             data[i, :] = level
         feat = type("F", (), {"data": data, "hop": hop})()
         assert alignment_lag(feat, ann) == true_lag
+
+    @pytest.mark.parametrize("delay", [0, 1, 3, 8])
+    @pytest.mark.parametrize("noise_db", [0.0, 6.0])
+    def test_rendered_songs_give_their_delay(self, delay, noise_db):
+        # features rendered from the annotation switch where frame_labels
+        # does; delaying them by k frames must read as a lag of k
+        from chordkit.features import RenderParams, render_synthetic_cqt
+        from chordkit.synthgen import ProgressionConfig, generate_song
+        for seed in range(10):
+            ann, _, _ = generate_song(ProgressionConfig(duration=30.0), seed)
+            feat = render_synthetic_cqt(ann, grid_for(ann.duration),
+                                        RenderParams(noise_db=noise_db, seed=seed + 1))
+            held = np.repeat(feat.data[:1], delay, axis=0)
+            delayed = np.concatenate([held, feat.data[:feat.n_frames - delay]])
+            assert alignment_lag(replace(feat, data=delayed), ann) == delay, seed
 
     def test_degenerate_signal_raises(self):
         ann = make_ann([(0.0, 1.0, "C:maj")])

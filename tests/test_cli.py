@@ -193,11 +193,19 @@ def _one_json_error(capsys):
 
 
 def _rewrite_checkpoint(src, dst, drop=(), **replace):
+    """Copy a checkpoint without the arrays in ``drop``; a callable in
+    ``replace`` maps the stored array to its replacement."""
     with np.load(src) as data:
         arrays = {k: data[k] for k in data.files if k not in drop}
-    arrays.update(replace)
+    arrays.update({k: v(arrays[k]) if callable(v) else v for k, v in replace.items()})
     np.savez(dst, **arrays)
     return dst
+
+
+def _one_nan(array):
+    array = array.copy()
+    array.flat[7] = np.nan
+    return array
 
 
 class TestVocabularyMismatch:
@@ -242,7 +250,11 @@ class TestVocabularyMismatch:
         (("w_Wc",), {}),
         (("mean",), {}),
         ((), {"meta": "{not json"}),
-    ], ids=["no-meta", "no-weight", "no-mean", "bad-json"])
+        ((), {"mean": lambda a: a[:1], "std": lambda a: a[:1]}),
+        ((), {"w_Wc": _one_nan}),
+        ((), {"w_Wc": lambda a: a[:, :26]}),
+    ], ids=["no-meta", "no-weight", "no-mean", "bad-json", "short-moments", "nan-weight",
+            "narrow-weight"])
     def test_predict_rejects_broken_checkpoint(self, dataset, trained, tmp_path, capsys,
                                                drop, replace):
         checkpoint = _rewrite_checkpoint(trained / "model.npz", tmp_path / "m.npz",
@@ -250,6 +262,7 @@ class TestVocabularyMismatch:
         capsys.readouterr()
         assert self._predict(dataset, checkpoint, tmp_path) == 1
         assert _one_json_error(capsys)["error"] == "BadCheckpoint"
+        assert not (tmp_path / "pred" / "labels.tsv").exists()
 
     def test_predict_rejects_bare_array(self, dataset, tmp_path, capsys):
         checkpoint = tmp_path / "weights.npy"

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chordkit.annotate import transpose_annotation
-from chordkit.errors import (AllZeroCounts, ChordkitError, DimensionMismatch,
+from chordkit.errors import (AllZeroCounts, BadCheckpoint, ChordkitError, DimensionMismatch,
                              EmptyDataset, NonFiniteLoss, TargetOutOfRange)
 from chordkit.features import FeatureMatrix
 from chordkit.model import (N_ROOT_CLASSES, TrainConfig, _column_moments, _forward_raw,
@@ -565,6 +566,27 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         feat = ds[0][0]
         assert np.array_equal(predict_frames(loaded, feat), predict_frames(params, feat))
+
+    @pytest.mark.parametrize("meta, arrays", [
+        ({"n_bins": -1}, {}),
+        ({"n_bins": 8.0}, {}),
+        ({"hidden_units": "4"}, {}),
+        ({"arch": "conv"}, {}),
+        ({"context": 1}, {}),
+        ({}, {"std": np.zeros(8, dtype=np.float32)}),
+        ({}, {"w_b2": np.full(V26.size, np.inf, dtype=np.float32)}),
+        ({}, {"w_W1": np.full((40, 4), "0.1")}),
+    ], ids=["negative-size", "float-size", "str-size", "unknown-arch", "other-context",
+            "zero-std", "inf-bias", "str-weight"])
+    def test_arrays_must_fit_the_meta(self, tmp_path, meta, arrays):
+        path = tmp_path / "model.npz"
+        save_checkpoint(init_params("hidden", 8, V26, hidden_units=4, context=2, seed=9), path)
+        with np.load(path) as data:
+            stored = {k: data[k] for k in data.files}
+        stored["meta"] = json.dumps({**json.loads(str(stored["meta"])), **meta})
+        np.savez(path, **{**stored, **arrays})
+        with pytest.raises(BadCheckpoint):
+            load_checkpoint(path)
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from chordkit.errors import IdOutOfRange, ZeroDefinedTime
 from chordkit.harte import QUALITY_TEMPLATES
 from chordkit.metrics import (MetricKind, TimedPath, Verdict, class_wise_scores,
-                              compare_labels, path_from_frames, wcsr)
-from chordkit.model import SHIFT_CHOICES, pitch_targets, root_targets
+                              compare_labels, confusion_matrix, path_from_frames, wcsr)
+from chordkit.model import SHIFT_CHOICES, expected_counts, pitch_targets, root_targets
+from chordkit.synthgen import RATIO_EPS, apply_calibration, calibration_ratios, id_distribution
 from chordkit.vocab import (id_info, id_pitch_classes, transpose_id, vocabulary_26,
                             vocabulary_170)
 
@@ -233,3 +234,122 @@ def test_wcsr_and_class_wise_equal_interval_walk(songs, kind):
     table = class_wise_scores(kind, songs, V170)[2]
     assert table == reference_class_table(kind, songs, V170)
     assert all(type(c) is int for c in table)
+
+
+# --- the class bookkeeping against the loops it replaced ---
+# Each reference is the earlier loop (per shift, per quality, per song or per
+# frame), reading ids through id_info, chord_id and transpose_id, not the tables.
+
+def reference_expected_counts(counts, p, vocab):
+    counts = np.asarray(counts, dtype=np.float64)
+    out = counts.copy()
+    spread = np.zeros(vocab.n_id)
+    for k in range(12):
+        spread += counts[[transpose_id(c, -k, vocab) for c in range(vocab.n_id)]]
+    out[:vocab.n_id] = (1.0 - p) * counts[:vocab.n_id] + (p / 12.0) * spread
+    return out
+
+
+def reference_calibration_ratios(train_dist, target_dist, vocab):
+    train_dist = np.asarray(train_dist, dtype=np.float64)
+    target_dist = np.asarray(target_dist, dtype=np.float64)
+    ratios = {}
+    for quality in vocab.qualities:
+        ids = np.array([vocab.chord_id(root, quality) for root in range(12)])
+        per_root = (target_dist[ids] + RATIO_EPS) / (train_dist[ids] + RATIO_EPS)
+        ratios[quality] = float(per_root.mean())
+    return ratios
+
+
+def reference_apply_calibration(logits, ratios, vocab):
+    out = np.array(logits, dtype=np.float64, copy=True)
+    for quality in vocab.qualities:
+        ids = [vocab.chord_id(root, quality) for root in range(12)]
+        out[:, ids] += np.log(ratios[quality])
+    return out
+
+
+def reference_confusion_matrix(axis, songs_as_frames, vocab):
+    n = len(vocab.qualities) + 2 if axis == "quality" else 14
+
+    def index(chord_id):
+        info = id_info(chord_id, vocab)
+        if info in ("N", "X"):  # the axis ends with N, then X
+            return n - 2 + "NX".index(info)
+        return info[0] if axis == "root" else vocab.quality_index(info[1])
+
+    matrix = np.zeros((n, n))
+    for ref_ids, est_ids in songs_as_frames:
+        for r, e in zip(ref_ids, est_ids):
+            matrix[index(int(r)), index(int(e))] += 1
+    return matrix
+
+
+def reference_id_distribution(ids_per_song, vocab):
+    counts = np.zeros(vocab.size)
+    for ids in ids_per_song:
+        for chord_id in ids:
+            counts[chord_id] += 1
+    total = counts.sum()
+    return counts / total if total > 0 else counts
+
+
+def _class_counts(rng, vocab):
+    """Frame counts with empty classes, a dominant class and fractional mass."""
+    counts = rng.integers(0, 400, vocab.size) * (rng.random(vocab.size) < 0.6)
+    counts[rng.integers(vocab.size)] += 10_000
+    return counts if rng.random() < 0.5 else counts * rng.random(vocab.size)
+
+
+def _distribution(rng, vocab):
+    dist = _class_counts(rng, vocab).astype(np.float64)
+    return dist / dist.sum()
+
+
+def _frame_songs(rng, vocab, n_songs):
+    lengths = rng.integers(0, 300, n_songs)
+    return [(rng.integers(0, vocab.size, n), rng.integers(0, vocab.size, n)) for n in lengths]
+
+
+SEEDS = range(20)
+
+
+class TestClassBookkeepingEqualsLoops:
+    @pytest.mark.parametrize("vocab", VOCABS, ids=["170", "26"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_expected_counts(self, vocab, seed):
+        rng = np.random.default_rng(seed)
+        counts = _class_counts(rng, vocab)
+        for p in (0.0, 0.5, 1.0, float(rng.random())):
+            assert np.array_equal(expected_counts(counts, p, vocab),
+                                  reference_expected_counts(counts, p, vocab))
+
+    @pytest.mark.parametrize("vocab", VOCABS, ids=["170", "26"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_calibration(self, vocab, seed):
+        rng = np.random.default_rng(seed)
+        train, target = _distribution(rng, vocab), _distribution(rng, vocab)
+        table = calibration_ratios(train, target, vocab)
+        ratios = reference_calibration_ratios(train, target, vocab)
+        assert table.ratios == ratios
+        assert list(table.ratios) == list(vocab.qualities)
+        logits = rng.normal(0.0, 3.0, (int(rng.integers(1, 50)), vocab.size))
+        assert np.array_equal(apply_calibration(logits, table, vocab),
+                              reference_apply_calibration(logits, ratios, vocab))
+
+    @pytest.mark.parametrize("vocab", VOCABS, ids=["170", "26"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_confusion_matrix(self, vocab, seed):
+        rng = np.random.default_rng(seed)
+        songs = _frame_songs(rng, vocab, int(rng.integers(1, 6)))
+        for axis in ("quality", "root"):
+            expected = reference_confusion_matrix(axis, songs, vocab)
+            assert np.array_equal(confusion_matrix(axis, songs, vocab), expected)
+
+    @pytest.mark.parametrize("vocab", VOCABS, ids=["170", "26"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_id_distribution(self, vocab, seed):
+        rng = np.random.default_rng(seed)
+        songs = [ids for ids, _ in _frame_songs(rng, vocab, int(rng.integers(0, 6)))]
+        assert np.array_equal(id_distribution(songs, vocab),
+                              reference_id_distribution(songs, vocab))
