@@ -177,11 +177,16 @@ class BeatIntervals:
     def __post_init__(self):
         if not self.intervals:
             raise EmptyBeatList("no beat intervals")
-        prev = None
-        for start, end in self.intervals:
-            if end <= start or (prev is not None and abs(start - prev) > 1e-9):
-                raise EmptyBeatList(f"intervals not contiguous/increasing at {start}")
-            prev = end
+        if not is_time_axis(self.intervals):
+            raise EmptyBeatList("intervals are not finite, increasing and contiguous")
+
+
+def is_time_axis(intervals) -> bool:
+    """True when every (start, end) time is finite, each end is greater than
+    its start and each start lies within 1e-9 s of the previous end."""
+    times = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
+    return bool(np.isfinite(times).all() and (times[:, 1] > times[:, 0]).all()
+                and (np.abs(times[1:, 0] - times[:-1, 1]) <= 1e-9).all())
 
 
 def load_beats(path) -> list[float]:

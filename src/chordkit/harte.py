@@ -2,21 +2,24 @@
 
 Supported grammar::
 
-    chord   := "N" | "X" | note ":" quality [ "(" degrees ")" ] [ "/" degree ]
+    chord   := "N" | "X" | note ":" quality [ "(" degrees ")" ] [ "/" bass ]
     note    := [A-G] ("#" | "b")*
     degrees := degree ("," degree)*
-    degree  := "*"? ("#" | "b")* integer(1-13)
+    degree  := "*"? ("#" | "b")* (1-7 | 9 | 11 | 13)
+    bass    := ("#" | "b")* integer(1-13)
 
-Interval-list-only chords such as ``C:(1,3,5)`` are outside the grammar and
-raise :class:`MalformedChord`; dataset-facing code maps such labels to the
-unknown class instead.
+A list degree, which may be padded with whitespace, must be a key of
+:data:`DEGREE_SEMITONES`, so every parsed label has a pitch-class set.
+Interval-list-only chords such as ``C:(1,3,5)`` raise
+:class:`MalformedChord`, which ``annotate.load_annotation`` reports as
+``MalformedLine``.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import MalformedChord, UnknownDegree
 
@@ -47,12 +50,19 @@ QUALITY_TEMPLATES = {
 
 QUALITY_ORDER = list(QUALITY_TEMPLATES)
 
-# Scale degree to semitone offset. Degrees outside this table (8, 10, 12)
-# raise UnknownDegree.
+# Scale degree to semitone offset, and the degrees a parenthesised list may
+# hold. degree_to_semitone raises UnknownDegree outside this table.
 DEGREE_SEMITONES = {1: 0, 2: 2, 3: 4, 4: 5, 5: 7, 6: 9, 7: 11, 9: 2, 11: 5, 13: 9}
 
-_NOTE_RE = re.compile(r"^([A-G])([#b]*)$")
 _DEGREE_RE = re.compile(r"^(\*?)([#b]*)(\d{1,2})$")
+
+# The module grammar as one pattern; degree numbers are checked after the match.
+_LIST_DEGREE = r"\s*\*?[#b]*\d{1,2}\s*"
+_CHORD_RE = re.compile(
+    r"(?P<note>[A-G])(?P<accidentals>[#b]*)"
+    r":(?P<quality>" + "|".join(map(re.escape, QUALITY_TEMPLATES)) + ")"
+    rf"(?:\((?P<degrees>{_LIST_DEGREE}(?:,{_LIST_DEGREE})*)\))?"
+    r"(?:/(?P<bass>[#b]*(?P<bass_number>\d{1,2})))?")
 
 
 class ChordKind(enum.Enum):
@@ -86,16 +96,6 @@ NO_CHORD = ChordLabel(kind=ChordKind.NO_CHORD)
 UNKNOWN_CHORD = ChordLabel(kind=ChordKind.UNKNOWN)
 
 
-def parse_note(text: str) -> int:
-    m = _NOTE_RE.match(text)
-    if not m:
-        raise MalformedChord(f"bad note name: {text!r}")
-    name, accidentals = m.groups()
-    pc = NOTE_PITCH[name]
-    pc += accidentals.count("#") - accidentals.count("b")
-    return pc % 12
-
-
 def degree_to_semitone(degree: str) -> int:
     """Map a degree token like ``b7`` to its semitone offset (mod 12)."""
     m = _DEGREE_RE.match(degree)
@@ -110,67 +110,32 @@ def degree_to_semitone(degree: str) -> int:
     return offset % 12
 
 
-def _check_degree(token: str, *, allow_omission: bool) -> str:
-    m = _DEGREE_RE.match(token)
-    if not m:
-        raise MalformedChord(f"bad degree token: {token!r}")
-    starred, _, number = m.groups()
-    if starred and not allow_omission:
-        raise MalformedChord(f"omission not allowed here: {token!r}")
-    if not 1 <= int(number) <= 13:
-        raise MalformedChord(f"degree out of range 1-13: {token!r}")
-    return token
-
-
 def parse_chord(text: str) -> ChordLabel:
     """Parse a Harte chord string into a :class:`ChordLabel`.
 
     Raises MalformedChord for anything outside the supported grammar.
     """
-    if not text or text != text.strip():
-        raise MalformedChord(f"empty or untrimmed label: {text!r}")
     if text == "N":
         return NO_CHORD
     if text == "X":
         return UNKNOWN_CHORD
-
-    if ":" not in text:
-        raise MalformedChord(f"missing ':' in chord label: {text!r}")
-    note_part, rest = text.split(":", 1)
-    root = parse_note(note_part)
-
-    bass = None
-    if "/" in rest:
-        rest, bass_part = rest.rsplit("/", 1)
-        bass = _check_degree(bass_part, allow_omission=False)
-
-    additions: list[str] = []
-    omissions: list[str] = []
-    if "(" in rest:
-        m = re.match(r"^([^()]*)\(([^()]*)\)$", rest)
-        if not m:
-            raise MalformedChord(f"bad parenthesized degree list: {text!r}")
-        rest, degree_list = m.groups()
-        if not degree_list:
-            raise MalformedChord(f"empty degree list: {text!r}")
-        for token in degree_list.split(","):
-            token = _check_degree(token.strip(), allow_omission=True)
-            if token.startswith("*"):
-                omissions.append(token[1:])
-            else:
-                additions.append(token)
-
-    if rest not in QUALITY_TEMPLATES:
-        raise MalformedChord(f"unsupported quality: {rest!r} in {text!r}")
-
-    return ChordLabel(
-        kind=ChordKind.CHORD,
-        root=root,
-        quality=rest,
-        additions=tuple(additions),
-        omissions=tuple(omissions),
-        bass=bass,
-    )
+    m = _CHORD_RE.fullmatch(text)
+    if m is None:
+        raise MalformedChord(f"not a chord label of the supported grammar: {text!r}")
+    note, accidentals, quality, degree_list, bass, bass_number = m.groups()
+    if bass is not None and not 1 <= int(bass_number) <= 13:
+        raise MalformedChord(f"bass degree out of range 1-13: {text!r}")
+    additions, omissions = [], []
+    for token in degree_list.split(",") if degree_list else ():
+        token = token.strip()
+        if int(token.lstrip("*#b")) not in DEGREE_SEMITONES:
+            raise MalformedChord(f"degree {token!r} has no pitch class in {text!r}")
+        if token.startswith("*"):
+            omissions.append(token[1:])
+        else:
+            additions.append(token)
+    root = (NOTE_PITCH[note] + accidentals.count("#") - accidentals.count("b")) % 12
+    return ChordLabel(ChordKind.CHORD, root, quality, tuple(additions), tuple(omissions), bass)
 
 
 def format_chord(label: ChordLabel) -> str:
@@ -207,11 +172,4 @@ def transpose_label(label: ChordLabel, k: int) -> ChordLabel:
     """Shift the root by k semitones (mod 12); N/X are returned unchanged."""
     if not label.is_chord():
         return label
-    return ChordLabel(
-        kind=ChordKind.CHORD,
-        root=(label.root + k) % 12,
-        quality=label.quality,
-        additions=label.additions,
-        omissions=label.omissions,
-        bass=label.bass,
-    )
+    return replace(label, root=(label.root + k) % 12)

@@ -62,7 +62,7 @@ from .annotate import frame_labels
 from .errors import (AllZeroCounts, BadCheckpoint, BadPosteriors, ChordkitError,
                      DimensionMismatch, EmptyDataset, NonFiniteLoss, TargetOutOfRange,
                      VocabularyMismatch)
-from .features import FeatureMatrix, pitch_shift_cqt
+from .features import FeatureMatrix, is_time_axis, pitch_shift_cqt
 from .vocab import Vocabulary, check_ids
 
 N_ROOT_CLASSES = 14  # 12 roots + N + X
@@ -727,6 +727,8 @@ def load_posteriors(path, vocab: Vocabulary):
                                   or intervals.dtype.kind != "f"):
         raise BadPosteriors(f"{path}: intervals of shape {intervals.shape} "
                             f"do not match {len(post)} rows")
+    if intervals is not None and not is_time_axis(intervals):
+        raise BadPosteriors(f"{path}: row intervals are not finite, increasing and contiguous")
     return post, float(hop), intervals
 
 

@@ -42,7 +42,6 @@ RULE_GRAPH = {
     "vi": (("ii", 0.6), ("iii", 0.4)),
     "iii": (("vi", 1.0),),
 }
-FALLBACK_DEGREE = "ii"
 
 # Quality distributions per degree. Probabilities are committed here so
 # generation is deterministic under a seed. Qualities are chosen so that no
@@ -97,8 +96,7 @@ def sample_progression(cfg: ProgressionConfig, rng: np.random.Generator) -> list
             root=(tonic + DEGREE_OFFSETS[degree]) % 12,
             quality=degree_quality[degree],
         ))
-        successors = RULE_GRAPH.get(degree)
-        degree = _choose(rng, successors) if successors else FALLBACK_DEGREE
+        degree = _choose(rng, RULE_GRAPH[degree])
     return chords
 
 

@@ -174,7 +174,7 @@ def _build_tables(vocab: Vocabulary) -> VocabTables:
 
 
 def map_label(label: ChordLabel, vocab: Vocabulary) -> int:
-    """Map an arbitrary parsed label into the vocabulary. Total function."""
+    """Map any label that parse_chord returns into the vocabulary."""
     if label.kind is ChordKind.NO_CHORD:
         return vocab.n_id
     if label.kind is ChordKind.UNKNOWN:

@@ -93,6 +93,13 @@ class TestFileIO:
             load_annotation(path)
         assert exc.value.line_no == 1
 
+    def test_degree_without_pitch_class_reported_with_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("0.0\t1.0\tC:maj\n1.0\t2.0\tC:maj(8)\n", encoding="utf-8")
+        with pytest.raises(MalformedLine) as exc:
+            load_annotation(path)
+        assert exc.value.line_no == 2
+
     def test_non_monotone_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("1.0\t0.5\tC:maj\n", encoding="utf-8")

@@ -322,6 +322,32 @@ class TestLoaderFailures:
         assert run(["smooth", "--post", path, "--out", tmp_path / "s"]) == 1
         assert _one_json_error(capsys)["error"] == "BadPosteriors"
 
+    @pytest.mark.parametrize("damage", ["nan", "reversed", "zero-length", "gap"])
+    def test_smooth_rejects_intervals_off_a_time_axis(self, dataset, trained, tmp_path,
+                                                      capsys, damage):
+        beats = tmp_path / "beats.txt"
+        beats.write_text("".join(f"{t:.3f}\n" for t in np.arange(0.5, 10.0, 0.5)))
+        assert run(["predict", "--model", trained / "model.npz",
+                    "--features", dataset / "song_0000.cqtf",
+                    "--beat-file", beats, "--out", tmp_path / "pred"]) == 0
+        with np.load(tmp_path / "pred" / "posteriors.npz") as saved:
+            arrays = {k: saved[k] for k in saved.files}
+        times = arrays["intervals"]
+        if damage == "nan":
+            times[3] = np.nan
+        elif damage == "reversed":
+            times = times[::-1]
+        elif damage == "zero-length":
+            times[3, 1] = times[4, 0] = times[3, 0]
+        else:
+            times[5:] += 0.25
+        arrays["intervals"] = times
+        np.savez(tmp_path / "post.npz", **arrays)
+        capsys.readouterr()
+        assert run(["smooth", "--post", tmp_path / "post.npz", "--out", tmp_path / "s"]) == 1
+        assert _one_json_error(capsys)["error"] == "BadPosteriors"
+        assert not (tmp_path / "s" / "labels.tsv").exists()
+
     def test_smooth_rejects_other_vocabulary_hash(self, posteriors, tmp_path, capsys):
         with np.load(posteriors) as saved:
             arrays = {k: saved[k] for k in saved.files}

@@ -330,6 +330,15 @@ class TestBeatIntervals:
         with pytest.raises(EmptyBeatList):
             beat_intervals([], "1")
 
+    @pytest.mark.parametrize("intervals", [
+        ((0.0, math.nan),), ((math.nan, 1.0),), ((0.0, 1.0), (1.0, math.inf)),
+        ((0.0, 1.0), (math.nan, 2.0)), ((-math.inf, 0.0), (0.0, 1.0)),
+        ((0.0, 1.0), (math.nan, math.nan), (1.0, 2.0)),
+    ])
+    def test_non_finite_times_rejected(self, intervals):
+        with pytest.raises(EmptyBeatList):
+            BeatIntervals(intervals=intervals)
+
     def test_perfect_intervals_match_segments(self):
         ann = make_ann([(0.0, 0.7, "C:maj"), (0.7, 1.3, "D:min")])
         bi = perfect_intervals(ann)

@@ -1,10 +1,13 @@
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chordkit import harte
 from chordkit.errors import MalformedChord, UnknownDegree
 from chordkit.harte import (ChordKind, ChordLabel, format_chord, parse_chord,
                             pitch_class_set, transpose_label)
+from chordkit.vocab import get_vocabulary, map_label
 
 
 class TestParse:
@@ -44,6 +47,7 @@ class TestParse:
     @pytest.mark.parametrize("bad", [
         "", " C:maj", "C:maj ", "H:maj", "C", "C:blah", "C:(1,3,5)",
         "C:maj(14)", "C:maj()", "C:maj/*3", "N:maj",
+        "C:maj(8)", "C:maj(b10)", "C:min(*12)", "C:7(9, 12)", "C\n:maj", "C:maj(3)\n/5",
     ])
     def test_rejects_bad_input(self, bad):
         with pytest.raises(MalformedChord):
@@ -116,3 +120,122 @@ class TestTranspose:
     def test_transpose_inverse(self, root, quality, k):
         label = ChordLabel(kind=ChordKind.CHORD, root=root, quality=quality)
         assert transpose_label(transpose_label(label, k), -k) == label
+
+
+_REF_NOTE_RE = re.compile(r"^([A-G])([#b]*)$")
+_REF_DEGREE_RE = re.compile(r"^(\*?)([#b]*)(\d{1,2})$")
+
+
+def _reference_degree(token: str, *, allow_omission: bool) -> str:
+    m = _REF_DEGREE_RE.match(token)
+    if not m:
+        raise MalformedChord(f"bad degree token: {token!r}")
+    starred, _, number = m.groups()
+    if starred and not allow_omission:
+        raise MalformedChord(f"omission not allowed here: {token!r}")
+    if not 1 <= int(number) <= 13:
+        raise MalformedChord(f"degree out of range 1-13: {token!r}")
+    return token
+
+
+def reference_parse_chord(text: str) -> ChordLabel:
+    """The step-by-step parser that ``parse_chord``'s one grammar match
+    replaced: it split on ':', '/' and the parentheses and took any list
+    degree from 1 to 13, including 8, 10 and 12, which have no pitch class."""
+    if not text or text != text.strip():
+        raise MalformedChord(f"empty or untrimmed label: {text!r}")
+    if text == "N":
+        return harte.NO_CHORD
+    if text == "X":
+        return harte.UNKNOWN_CHORD
+    if ":" not in text:
+        raise MalformedChord(f"missing ':' in chord label: {text!r}")
+    note_part, rest = text.split(":", 1)
+    m = _REF_NOTE_RE.match(note_part)
+    if not m:
+        raise MalformedChord(f"bad note name: {note_part!r}")
+    root = (harte.NOTE_PITCH[m[1]] + m[2].count("#") - m[2].count("b")) % 12
+    bass = None
+    if "/" in rest:
+        rest, bass_part = rest.rsplit("/", 1)
+        bass = _reference_degree(bass_part, allow_omission=False)
+    additions, omissions = [], []
+    if "(" in rest:
+        m = re.match(r"^([^()]*)\(([^()]*)\)$", rest)
+        if not m:
+            raise MalformedChord(f"bad parenthesized degree list: {text!r}")
+        rest, degree_list = m.groups()
+        if not degree_list:
+            raise MalformedChord(f"empty degree list: {text!r}")
+        for token in degree_list.split(","):
+            token = _reference_degree(token.strip(), allow_omission=True)
+            if token.startswith("*"):
+                omissions.append(token[1:])
+            else:
+                additions.append(token)
+    if rest not in harte.QUALITY_TEMPLATES:
+        raise MalformedChord(f"unsupported quality: {rest!r} in {text!r}")
+    return ChordLabel(kind=ChordKind.CHORD, root=root, quality=rest,
+                      additions=tuple(additions), omissions=tuple(omissions), bass=bass)
+
+
+def rejected_on_purpose(text: str, reference: ChordLabel) -> bool:
+    """Labels the reference accepts and ``parse_chord`` rejects: a list
+    degree of 8, 10 or 12, or a newline right before the ':' or the bass's
+    '/', which the reference's ``$`` let through."""
+    numbers = {int(token.lstrip("#b")) for token in reference.additions + reference.omissions}
+    return bool(numbers & {8, 10, 12}) or "\n:" in text or "\n/" in text
+
+
+_FRAGMENTS = (list("ABCDEFGHNX#b*:(),/ \t\n") + [str(n) for n in range(15)]
+              + ["00", "07", "99", "1,3"] + harte.QUALITY_ORDER)
+fragment_strings = st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map("".join)
+_padding = st.sampled_from(["", " ", "\t", "\n", " \n"])
+structured_labels = st.builds(
+    lambda note, accidentals, quality, degrees, bass: (
+        f"{note}{accidentals}:{quality}"
+        + (f"({','.join(degrees)})" if degrees is not None else "")
+        + (f"/{bass}" if bass is not None else "")),
+    st.sampled_from("ABCDEFG"),
+    st.text("#b", max_size=3),
+    st.sampled_from(harte.QUALITY_ORDER),
+    st.none() | st.lists(st.builds("{}{}{}{}{}".format, _padding, st.sampled_from(["", "*"]),
+                                   st.text("#b", max_size=2), st.integers(0, 15), _padding),
+                         max_size=4),
+    st.none() | st.builds("{}{}".format, st.text("#b", max_size=2), st.integers(0, 15)),
+)
+newline_labels = st.builds(lambda text, i: text[:i] + "\n" + text[i:],
+                           structured_labels, st.integers(0, 40))
+
+
+class TestGrammarMatch:
+    @settings(max_examples=2000, deadline=None)
+    @given(st.one_of(fragment_strings, structured_labels, newline_labels,
+                     st.text("ABCDGNXmajinsud#b*:(),/ 0123789\n", max_size=16)))
+    def test_same_as_reference_parser(self, text):
+        """The same label or the same exception type as the replaced parser,
+        except for the inputs it rejects on purpose."""
+        try:
+            expected = reference_parse_chord(text)
+        except MalformedChord:
+            with pytest.raises(MalformedChord):
+                parse_chord(text)
+            return
+        if rejected_on_purpose(text, expected):
+            with pytest.raises(MalformedChord):
+                parse_chord(text)
+        else:
+            assert parse_chord(text) == expected
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(structured_labels, fragment_strings))
+    def test_every_accepted_label_has_pitch_classes(self, text):
+        try:
+            label = parse_chord(text)
+        except MalformedChord:
+            return
+        if label.is_chord():
+            assert pitch_class_set(label) <= set(range(12))
+        for size in (170, 26):
+            vocab = get_vocabulary(size)
+            assert 0 <= map_label(label, vocab) < vocab.size
