@@ -20,10 +20,25 @@ a few O(C) array operations. Let b be the previous frame's best state
 A state stays when staying scores at least as well as moving. The decoder
 keeps a ``[T, C]`` bool table of who stayed, plus b (and the runner-up when
 beta < 1/C) per frame, and backtracks through them.
+
+Quiet runs (beta >= 1/C). A frame is quiet when b alone stays. Every other
+state then scores b's move plus its own emission, so the next frame is
+quiet too, with the same b, when the best of those would not stay either;
+float addition is monotone, so checking that one state covers all of them,
+and it also makes b the frame's strict argmax. Within a run of equal
+framewise argmax b, the best other emission is the row's second largest.
+From a quiet frame where b is the framewise argmax, the decoder chains b's
+scores over the rest of that run with one ``np.add.accumulate``, in the
+per-frame step's order of additions, applies the check to every frame at
+once and skips the frames up to the first that fails it. Every other frame
+takes the per-frame step, which is the only path when beta < 1/C, so paths
+are ``==`` to the per-frame recursion's. Backtracking jumps over each block
+of quiet frames, since every path enters one from its b.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,37 +80,83 @@ def viterbi_smooth(post: np.ndarray, cfg: DecoderConfig) -> np.ndarray:
     log_post = np.log(np.maximum(post, PROB_FLOOR))
     log_self, log_off = _log_transitions(cfg)
     n_frames, n_states = post.shape
+    b_stays = log_self >= log_off
+    if b_stays:
+        raw, second, run_end = _framewise_runs(log_post)
 
     score = log_post[0].copy()  # uniform initial distribution adds a constant
     prev = np.empty_like(score)  # the previous frame's scores; the buffers swap each frame
     stayed = np.zeros((n_frames, n_states), dtype=bool)
     best = np.zeros(n_frames, dtype=np.int64)
     runner_up = np.zeros(n_frames, dtype=np.int64)
-    for t in range(1, n_frames):
+    quiet = [(1, 0, 0)]  # (first, last, b) of each block of quiet frames, after a sentinel
+    frames = iter(range(1, n_frames))
+    for t in frames:
         prev, score = score, prev
         b = best[t] = prev.argmax()
         move = prev[b] + log_off
         np.add(prev, log_self, out=score)
         np.greater_equal(score, move, out=stayed[t])
         np.maximum(score, move, out=score)
-        if log_self < log_off:
+        if not b_stays:
             # moving may beat staying for b too, but b cannot move from
             # itself: it moves from the runner-up
             stay = prev[b] + log_self
             prev[b] = -np.inf
             r = runner_up[t] = prev.argmax()
             move = prev[r] + log_off
-            stayed[t, b] = stay >= move
-            score[b] = max(stay, move)
+            stayed[t, b] = stays = stay >= move
+            score[b] = stay if stays else move
         score += log_post[t]
+        if b_stays and raw[t] == b and run_end[t] > t + 1 and np.count_nonzero(stayed[t]) == 1:
+            # frame t is quiet. Chain b's scores over the rest of its
+            # framewise run, adding in the per-frame step's order, and the
+            # move score each of those frames gives every other state.
+            end = run_end[t]
+            terms = np.empty(2 * (end - t) - 1)
+            terms[0] = score[b]
+            terms[1::2] = log_self
+            terms[2::2] = log_post[t + 1:end, b]
+            chain = np.add.accumulate(terms)[0::2]
+            moves = np.empty(end - t)
+            moves[0] = move
+            np.add(chain[:-1], log_off, out=moves[1:])
+            # frame u + 1 is quiet when the best other state at u would not
+            # stay. Float addition is monotone, so then no other state
+            # stays, and b is u's strict argmax.
+            quiet_next = (moves[:-1] + second[t:end - 1]) + log_self < moves[1:]
+            k = len(quiet_next) if quiet_next.all() else int(quiet_next.argmin())
+            if k:
+                np.add(moves[k], log_post[t + k], out=score)
+                score[b] = chain[k]
+                quiet.append((t, t + k, b))
+                next(itertools.islice(frames, k - 1, None))  # frames t + 1 to t + k are done
 
-    path = np.zeros(n_frames, dtype=np.int64)
+    path = np.empty(n_frames, dtype=np.int64)
     state = path[-1] = score.argmax()
-    for t in range(n_frames - 1, 0, -1):
-        if not stayed[t, state]:
-            state = runner_up[t] if state == best[t] else best[t]
-        path[t - 1] = state
+    t = n_frames - 1
+    for first, last, b in reversed(quiet):
+        for t in range(t, last, -1):
+            if not stayed[t, state]:
+                state = runner_up[t] if state == best[t] else best[t]
+            path[t - 1] = state
+        # b alone stays at a quiet frame, so every path enters one from b
+        path[first - 1:last] = state = b
+        t = first - 1
     return path
+
+
+def _framewise_runs(log_post: np.ndarray):
+    """Per frame: the best state, the best emission of any other state, and
+    the end (exclusive) of the frame's run of equal best states."""
+    raw = log_post.argmax(axis=1)
+    rows = np.arange(len(raw))
+    top = log_post[rows, raw]
+    log_post[rows, raw] = -np.inf  # hidden for the max below, then put back
+    second = log_post.max(axis=1)
+    log_post[rows, raw] = top
+    edges = run_edges(raw)
+    return raw, second, np.repeat(edges[1:], np.diff(edges))
 
 
 def path_log_score(path, post: np.ndarray, cfg: DecoderConfig) -> float:

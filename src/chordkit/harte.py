@@ -54,15 +54,16 @@ QUALITY_ORDER = list(QUALITY_TEMPLATES)
 # hold. degree_to_semitone raises UnknownDegree outside this table.
 DEGREE_SEMITONES = {1: 0, 2: 2, 3: 4, 4: 5, 5: 7, 6: 9, 7: 11, 9: 2, 11: 5, 13: 9}
 
-_DEGREE_RE = re.compile(r"^(\*?)([#b]*)(\d{1,2})$")
+_DEGREE_RE = re.compile(r"(\*?)([#b]*)([0-9]{1,2})")
 
 # The module grammar as one pattern; degree numbers are checked after the match.
-_LIST_DEGREE = r"\s*\*?[#b]*\d{1,2}\s*"
+# Digits are ASCII: ``\d`` would also match other scripts' decimal digits.
+_LIST_DEGREE = r"\s*\*?[#b]*[0-9]{1,2}\s*"
 _CHORD_RE = re.compile(
     r"(?P<note>[A-G])(?P<accidentals>[#b]*)"
     r":(?P<quality>" + "|".join(map(re.escape, QUALITY_TEMPLATES)) + ")"
     rf"(?:\((?P<degrees>{_LIST_DEGREE}(?:,{_LIST_DEGREE})*)\))?"
-    r"(?:/(?P<bass>[#b]*(?P<bass_number>\d{1,2})))?")
+    r"(?:/(?P<bass>[#b]*(?P<bass_number>[0-9]{1,2})))?")
 
 
 class ChordKind(enum.Enum):
@@ -98,7 +99,7 @@ UNKNOWN_CHORD = ChordLabel(kind=ChordKind.UNKNOWN)
 
 def degree_to_semitone(degree: str) -> int:
     """Map a degree token like ``b7`` to its semitone offset (mod 12)."""
-    m = _DEGREE_RE.match(degree)
+    m = _DEGREE_RE.fullmatch(degree)
     if not m:
         raise UnknownDegree(f"bad degree token: {degree!r}")
     _, accidentals, number = m.groups()
@@ -153,19 +154,23 @@ def format_chord(label: ChordLabel) -> str:
     return "".join(parts)
 
 
-def pitch_class_set(label: ChordLabel) -> frozenset[int]:
-    """Absolute pitch classes sounded by a chord label.
-
-    Quality template plus additions minus omissions, transposed by the root.
-    """
+def relative_pitch_classes(label: ChordLabel) -> set[int]:
+    """Pitch classes of a chord label relative to its root: the quality
+    template plus additions minus omissions."""
     if not label.is_chord():
-        raise MalformedChord("pitch_class_set requires a sounding chord")
+        raise MalformedChord("pitch classes require a sounding chord")
     relative = set(QUALITY_TEMPLATES[label.quality])
     for token in label.additions:
         relative.add(degree_to_semitone(token))
     for token in label.omissions:
         relative.discard(degree_to_semitone(token))
-    return frozenset((p + label.root) % 12 for p in relative)
+    return relative
+
+
+def pitch_class_set(label: ChordLabel) -> frozenset[int]:
+    """Absolute pitch classes sounded by a chord label: its relative pitch
+    classes transposed by the root."""
+    return frozenset((p + label.root) % 12 for p in relative_pitch_classes(label))
 
 
 def transpose_label(label: ChordLabel, k: int) -> ChordLabel:

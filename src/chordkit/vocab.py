@@ -183,11 +183,10 @@ def map_label(label: ChordLabel, vocab: Vocabulary) -> int:
     if vocab.reduce_to_majmin:
         return int(_VOCAB_170.tables.majmin[map_label(label, _VOCAB_170)])
 
-    pcs = harte.pitch_class_set(label)
-    relative = frozenset((p - label.root) % 12 for p in pcs)
-    for quality, template in zip(vocab.qualities, vocab.templates):
+    relative = harte.relative_pitch_classes(label)
+    for index, template in enumerate(vocab.templates):
         if relative == template:
-            return vocab.chord_id(label.root, quality)
+            return index * 12 + label.root % 12
     for quality in _TRIAD_FALLBACK:
         if quality in vocab.qualities and QUALITY_TEMPLATES[quality] <= relative:
             return vocab.chord_id(label.root, quality)

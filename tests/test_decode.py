@@ -53,6 +53,41 @@ def reference_viterbi(post, cfg):
     return path, tied
 
 
+def reference_viterbi_loop(post, cfg):
+    """The decoder's per-frame loop over every frame, without quiet runs."""
+    post = np.asarray(post, dtype=np.float64)
+    log_post = np.log(np.maximum(post, PROB_FLOOR))
+    log_self, log_off = _log_transitions(cfg)
+    n_frames, n_states = post.shape
+    score = log_post[0].copy()
+    prev = np.empty_like(score)
+    stayed = np.zeros((n_frames, n_states), dtype=bool)
+    best = np.zeros(n_frames, dtype=np.int64)
+    runner_up = np.zeros(n_frames, dtype=np.int64)
+    for t in range(1, n_frames):
+        prev, score = score, prev
+        b = best[t] = prev.argmax()
+        move = prev[b] + log_off
+        np.add(prev, log_self, out=score)
+        np.greater_equal(score, move, out=stayed[t])
+        np.maximum(score, move, out=score)
+        if log_self < log_off:
+            stay = prev[b] + log_self
+            prev[b] = -np.inf
+            r = runner_up[t] = prev.argmax()
+            move = prev[r] + log_off
+            stayed[t, b] = stay >= move
+            score[b] = max(stay, move)
+        score += log_post[t]
+    path = np.zeros(n_frames, dtype=np.int64)
+    state = path[-1] = score.argmax()
+    for t in range(n_frames - 1, 0, -1):
+        if not stayed[t, state]:
+            state = runner_up[t] if state == best[t] else best[t]
+        path[t - 1] = state
+    return path
+
+
 def reference_path_log_score(path, post, cfg):
     log_post = np.log(np.maximum(np.asarray(post, dtype=np.float64), PROB_FLOOR))
     log_self, log_off = _log_transitions(cfg)
@@ -72,6 +107,30 @@ def random_posteriors(rng, n_frames, n_states, zeros, decimals):
     if decimals is not None:
         post = np.round(post, decimals)
     return post
+
+
+def run_posteriors(rng, n_frames, n_states, blips, rival, zeros, decimals, dtype):
+    """Rows in runs that each favour one state, as a trained model's do, so
+    that most frames are quiet. ``blips`` is the share of single frames that
+    favour another state, and ``rival`` how close behind each run keeps the
+    state the previous run favoured, which then keeps staying for a while."""
+    n_runs = int(rng.integers(1, 8))
+    states = rng.integers(0, n_states, size=n_runs + 1)
+    run = np.sort(rng.integers(0, n_runs, size=n_frames))
+    favoured, rivals = states[run + 1], states[run]
+    blip = rng.random(n_frames) < blips
+    favoured[blip] = rng.integers(0, n_states, size=int(blip.sum()))
+    post = rng.dirichlet(np.full(n_states, 0.3), size=n_frames)
+    rows = np.arange(n_frames)
+    boost = rng.uniform(0.0, 4.0, size=n_frames)
+    post[rows, rivals] += rival * boost
+    post[rows, favoured] += boost
+    post /= post.sum(axis=1, keepdims=True)
+    if zeros:
+        post[rng.random(post.shape) < 0.3] = 0.0
+    if decimals is not None:
+        post = np.round(post, decimals)
+    return post.astype(dtype)
 
 
 def beta_for(regime, frac, n_states):
@@ -191,6 +250,38 @@ class TestViterbi:
             assert np.array_equal(path, expected)
         assert path_log_score(path, post, cfg) == \
             pytest.approx(path_log_score(expected, post, cfg), abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n_states=st.sampled_from([2, 3, 26, 170]), n_frames=st.integers(1, 400),
+           regime=st.sampled_from(["below", "equal", "above"]), frac=st.floats(0.02, 0.98),
+           blips=st.sampled_from([0.0, 0.05, 0.3]), rival=st.sampled_from([0.0, 0.8, 0.95]),
+           zeros=st.booleans(), decimals=st.one_of(st.none(), st.integers(1, 3)),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_frame_loop(self, n_states, n_frames, regime, frac, blips, rival, zeros,
+                                    decimals, dtype, seed):
+        rng = np.random.default_rng(seed)
+        post = run_posteriors(rng, n_frames, n_states, blips, rival, zeros, decimals, dtype)
+        cfg = DecoderConfig(beta=beta_for(regime, frac, n_states), n_classes=n_states)
+        assert np.array_equal(viterbi_smooth(post, cfg), reference_viterbi_loop(post, cfg))
+
+    @pytest.mark.parametrize("rows", [
+        # the run's two best emissions are equal, then the second takes over
+        [[0.7, 0.2, 0.1]] * 3 + [[0.4, 0.4, 0.2]] * 8 + [[0.2, 0.7, 0.1]] * 3,
+        # a one-frame blip inside a run
+        [[0.8, 0.1, 0.1]] * 6 + [[0.2, 0.7, 0.1]] + [[0.8, 0.1, 0.1]] * 6,
+        # a run that ends on the last frame
+        [[0.8, 0.1, 0.1]] * 5 + [[0.1, 0.1, 0.8]] * 7,
+        # after each change the old state keeps staying for a few frames
+        [[0.46, 0.44, 0.1]] * 5 + [[0.44, 0.46, 0.1]] * 5 + [[0.46, 0.44, 0.1]]
+        + [[0.44, 0.46, 0.1]] * 8,
+        # a song of a single run
+        [[0.6, 0.3, 0.1], [0.5, 0.3, 0.2], [0.7, 0.2, 0.1], [0.5, 0.4, 0.1]] * 3,
+    ])
+    @pytest.mark.parametrize("beta", [0.05, 1 / 3, 0.5, 0.9])
+    def test_crafted_runs_match_per_frame_loop(self, rows, beta):
+        post = np.array(rows)
+        cfg = DecoderConfig(beta=beta, n_classes=3)
+        assert np.array_equal(viterbi_smooth(post, cfg), reference_viterbi_loop(post, cfg))
 
 
 class TestPathLogScore:

@@ -48,6 +48,7 @@ class TestParse:
         "", " C:maj", "C:maj ", "H:maj", "C", "C:blah", "C:(1,3,5)",
         "C:maj(14)", "C:maj()", "C:maj/*3", "N:maj",
         "C:maj(8)", "C:maj(b10)", "C:min(*12)", "C:7(9, 12)", "C\n:maj", "C:maj(3)\n/5",
+        "C:maj(\u0663)", "C:maj/\u0663", "C:maj(1\u0663)",  # Arabic-Indic digit three
     ])
     def test_rejects_bad_input(self, bad):
         with pytest.raises(MalformedChord):
@@ -95,6 +96,11 @@ class TestPitchClassSet:
         assert harte.degree_to_semitone("13") == 9
         with pytest.raises(UnknownDegree):
             harte.degree_to_semitone("8")
+
+    @pytest.mark.parametrize("bad", ["3\n", "\n3", "b7 ", "\u0663", ""])
+    def test_degree_token_must_be_the_whole_string(self, bad):
+        with pytest.raises(UnknownDegree):
+            harte.degree_to_semitone(bad)
 
 
 class TestTranspose:
