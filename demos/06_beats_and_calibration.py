@@ -28,9 +28,9 @@ def main():
     print("\nPooling at different beat divisions:")
     for division in ("0.25", "0.5", "1", "2"):
         intervals = beat_intervals(beats, division, duration=20.0)
-        pooled, intervals = beat_pool(feat, intervals)
+        pooled = beat_pool(feat, intervals)
         ids = interval_labels(ann, intervals.intervals, vocab)
-        print(f"  division {division:4s}: {len(intervals.intervals):3d} intervals, "
+        print(f"  division {division:4s}: {pooled.n_frames:3d} pooled rows, "
               f"{len(set(ids.tolist()))} distinct chords")
 
     # intervals taken straight from the annotation boundaries recover the

@@ -3,6 +3,13 @@
 Annotation files are lab-style TSV: ``start<TAB>end<TAB>harte_label`` per
 line, sorted by start time. Gaps between labelled segments are filled with
 no-chord segments so that annotations tile [0, duration).
+
+Each time-axis rule is written once, here:
+- a song of d seconds spans ``ceil(d / hop)`` frames (:func:`grid_for`);
+- time t lies in the segment whose half-open [start, end) holds it
+  (:func:`segment_index`), and a frame lies where its centre does;
+- so a chord changes at the first frame whose centre lies in the new
+  segment, in :func:`frame_labels` and :func:`alignment_lag` alike.
 """
 
 from __future__ import annotations
@@ -42,17 +49,6 @@ class Annotation:
         if self.segments and self.duration < self.segments[-1][1] - 1e-9:
             raise NonMonotoneTimes("duration shorter than last segment end")
 
-    def label_at(self, t: float) -> ChordLabel:
-        """Label of the segment whose half-open [start, end) contains t."""
-        for start, end, label in self.segments:
-            if start <= t < end:
-                return label
-        return harte.NO_CHORD
-
-    def boundaries(self) -> list[float]:
-        """Internal segment start times (t > 0)."""
-        return [start for start, _, _ in self.segments if start > 0]
-
 
 @dataclass(frozen=True)
 class FrameGrid:
@@ -65,14 +61,14 @@ class FrameGrid:
         return (np.arange(self.n_frames) + 0.5) * self.hop
 
 
-def n_frames_for(duration: float, hop_samples: int = DEFAULT_HOP_SAMPLES,
-                 sr: int = DEFAULT_SR) -> int:
-    """Frame count: ceil(sr / hop_samples * duration)."""
-    return math.ceil(sr / hop_samples * duration)
-
-
 def grid_for(duration: float, hop: float = DEFAULT_HOP) -> FrameGrid:
+    """The fewest frames of ``hop`` seconds that cover ``duration``."""
     return FrameGrid(hop=hop, n_frames=math.ceil(duration / hop))
+
+
+def n_frames_for(duration: float) -> int:
+    """Frame count of :func:`grid_for` at the default hop."""
+    return grid_for(duration).n_frames
 
 
 def fill_gaps(segments, duration=None) -> Annotation:
@@ -192,19 +188,6 @@ def interval_labels(ann: Annotation, intervals, vocab: Vocabulary) -> np.ndarray
     return np.argmax(overlap, axis=1)
 
 
-def transition_mask(ann: Annotation, grid: FrameGrid) -> np.ndarray:
-    """True for frames [i*hop, (i+1)*hop) containing a segment boundary t > 0."""
-    mask = np.zeros(grid.n_frames, dtype=bool)
-    frame = np.array(ann.boundaries(), dtype=np.float64) / grid.hop
-    mask[frame[frame < grid.n_frames].astype(np.int64)] = True
-    return mask
-
-
-def chord_change_signal(ann: Annotation, grid: FrameGrid) -> np.ndarray:
-    """Binary per-frame vector: 1 where a chord change falls in the frame."""
-    return transition_mask(ann, grid).astype(np.float64)
-
-
 def feature_derivative_signal(data: np.ndarray) -> np.ndarray:
     """Per-frame derivative magnitude: sum over bins of |first difference|."""
     deriv = np.zeros(data.shape[0], dtype=np.float64)
@@ -224,7 +207,8 @@ def alignment_lag(feat, ann: Annotation, window_frames: int = 50) -> int:
     """Lag (in frames) maximizing the cross-correlation between the
     standardized feature-derivative magnitude and chord-change vector.
 
-    A chord change is marked at the first frame whose center lies in the
+    ``feat`` has ``data`` (frames x bins) and ``hop``, as a FeatureMatrix
+    does. A chord change is marked at the first frame whose center lies in the
     new segment, the frame where :func:`frame_labels` switches. Every lag's
     dot product is divided by the frame count, not by its overlap, so a
     long lag with a short overlap does not outscore the true one. Positive
@@ -233,11 +217,8 @@ def alignment_lag(feat, ann: Annotation, window_frames: int = 50) -> int:
     """
     if window_frames <= 0:
         raise ValueError("window_frames must be positive")
-    data = feat.data if hasattr(feat, "data") else np.asarray(feat)
-    grid = FrameGrid(hop=feat.hop if hasattr(feat, "hop") else DEFAULT_HOP,
-                     n_frames=data.shape[0])
-    deriv = _standardize(feature_derivative_signal(data))
-    segment = segment_index(ann, grid.centers())
+    deriv = _standardize(feature_derivative_signal(feat.data))
+    segment = segment_index(ann, FrameGrid(hop=feat.hop, n_frames=len(deriv)).centers())
     changes = _standardize((np.diff(segment, prepend=segment[:1]) != 0).astype(np.float64))
 
     n = len(deriv)

@@ -153,22 +153,31 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    # no division means beat-wise ("1") with a beat file, frame-wise without;
+    # a beat flag the chosen mode does not read is an error
+    division = args.beat_division or ("1" if args.beat_file else None)
+    if division == "perfect":
+        if args.beat_file or not args.ann:
+            raise ChordkitError("--beat-division perfect requires --ann and no --beat-file")
+    elif args.ann:
+        raise ChordkitError("--ann applies to --beat-division perfect only")
+    elif division is not None and not args.beat_file:
+        raise ChordkitError(f"--beat-division {division} requires --beat-file")
     vocab = get_vocabulary(args.vocab)
     params = model.load_checkpoint(args.model)
     model.check_vocabulary(params, vocab)
     feat = features.load_features(args.features)
     duration = feat.n_frames * feat.hop
-    beats = None
-    if args.beat_division == "perfect":
-        if not args.ann:
-            raise ChordkitError("--beat-division perfect requires --ann")
-        beats = features.perfect_intervals(annotate.load_annotation(args.ann, duration=duration))
-    elif args.beat_file:
-        beats = features.beat_intervals(features.load_beats(args.beat_file),
-                                        args.beat_division, duration=duration)
-    if beats is not None:
-        feat, beats = features.beat_pool(feat, beats)
-    intervals = beats.intervals if beats is not None else None
+    intervals = None
+    if division is not None:
+        if division == "perfect":
+            ann = annotate.load_annotation(args.ann, duration=duration)
+            beats = features.perfect_intervals(ann)
+        else:
+            beats = features.beat_intervals(features.load_beats(args.beat_file), division,
+                                            duration=duration)
+        feat = features.beat_pool(feat, beats)
+        intervals = beats.intervals
     post, _, _ = model.forward(params, feat)
     ids = np.argmax(post, axis=1)
     out_dir = Path(args.out)
@@ -177,7 +186,7 @@ def cmd_predict(args) -> int:
     model.save_posteriors(out_dir / "posteriors.npz", post, params.vocab_hash,
                           feat.hop, intervals)
     _write_manifest(out_dir, "predict", args, [args.model, args.features],
-                    ["labels.tsv", "posteriors.npz"])
+                    ["labels.tsv", "posteriors.npz"], beat_division=division)
     _log(f"wrote predictions to {out_dir}")
     return 0
 
@@ -347,10 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", parents=[vocab, out], help="predict frame- or beat-wise labels")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
-    p.add_argument("--beat-file")
-    p.add_argument("--beat-division", default="1",
-                   choices=("0.25", "0.5", "1", "2", "perfect"))
-    p.add_argument("--ann", help="annotation file (required for --beat-division perfect)")
+    p.add_argument("--beat-file", help="beat times, one per line, for beat-wise labels")
+    p.add_argument("--beat-division", choices=("0.25", "0.5", "1", "2", "perfect"),
+                   help="beats per pooled interval, needs --beat-file (default 1); "
+                        "perfect pools the --ann segments")
+    p.add_argument("--ann", help="annotation file, --beat-division perfect only")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("smooth", parents=[vocab, out], help="HMM-smooth a saved posteriorgram")

@@ -5,6 +5,11 @@ The on-disk "CQTF" format is little-endian binary: magic ``CQTF``,
 u32 version (=1), u32 n_bins, u64 n_frames, f64 hop_seconds,
 u32 bins_per_octave, f32 floor_db, then n_frames * n_bins f32 values
 stored frame-major. Round-trips are bit-exact.
+
+The synthetic renderer has one layout, set by module constants: 216 bins
+at 36 per octave from C1, inactive bins at the -80 dB floor, and chord bins
+at 0 dB less 6 dB per octave. Only its noise level and seed are settable
+(:class:`RenderParams`). Files on disk may hold any bin layout.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ _HEADER = struct.Struct("<4sIIQdIf")
 DEFAULT_BINS_PER_OCTAVE = 36
 DEFAULT_N_BINS = 216
 DEFAULT_FLOOR_DB = -80.0
+# the synthetic renderer's level at a chord's lowest octave, and its drop per octave
+RENDER_PEAK_DB = 0.0
+RENDER_ROLLOFF_DB = 6.0
 
 
 @dataclass(frozen=True)
@@ -109,13 +117,8 @@ def bin_pitch_classes(n_bins: int, bins_per_octave: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RenderParams:
-    """Controls for the synthetic CQT renderer (test oracle)."""
+    """Noise controls for the synthetic CQT renderer (test oracle)."""
 
-    n_bins: int = DEFAULT_N_BINS
-    bins_per_octave: int = DEFAULT_BINS_PER_OCTAVE
-    floor_db: float = DEFAULT_FLOOR_DB
-    peak_db: float = 0.0
-    octave_rolloff_db: float = 6.0
     noise_db: float = 0.0
     seed: int = 0
 
@@ -125,12 +128,13 @@ def render_synthetic_cqt(ann: Annotation, grid: FrameGrid,
     """Render an idealized CQT from an annotation.
 
     Bins whose pitch class belongs to the active chord's pitch-class set are
-    set to peak_db minus octave_rolloff_db per octave above the pitch class's
-    lowest in-range bin; all other bins (and N/X frames) sit at floor_db.
+    set to RENDER_PEAK_DB minus RENDER_ROLLOFF_DB per octave above the pitch
+    class's lowest bin; all other bins (and N/X frames) sit at the floor.
+    The bin layout and floor are the DEFAULT_ constants.
     """
-    pcs = bin_pitch_classes(params.n_bins, params.bins_per_octave)
-    octaves = np.arange(params.n_bins) // params.bins_per_octave
-    peak = (params.peak_db - params.octave_rolloff_db * octaves).astype(np.float32)
+    pcs = bin_pitch_classes(DEFAULT_N_BINS, DEFAULT_BINS_PER_OCTAVE)
+    octaves = np.arange(DEFAULT_N_BINS) // DEFAULT_BINS_PER_OCTAVE
+    peak = (RENDER_PEAK_DB - RENDER_ROLLOFF_DB * octaves).astype(np.float32)
 
     # pitch-class membership per segment, then an empty row for frames outside
     # every segment (index -1); N and X segments have no members
@@ -138,17 +142,15 @@ def render_synthetic_cqt(ann: Annotation, grid: FrameGrid,
     for seg, (_, _, label) in enumerate(ann.segments):
         if label.is_chord():
             members[seg, list(harte.pitch_class_set(label))] = True
-    rows = np.where(members[:, pcs], peak, np.float32(params.floor_db))
+    rows = np.where(members[:, pcs], peak, np.float32(DEFAULT_FLOOR_DB))
     data = rows[segment_index(ann, grid.centers())]
 
     if params.noise_db > 0:
         rng = np.random.default_rng(params.seed)
         data = data + rng.normal(0.0, params.noise_db, size=data.shape).astype(np.float32)
-        data = np.maximum(data, params.floor_db)
+        data = np.maximum(data, DEFAULT_FLOOR_DB)
 
-    return FeatureMatrix(data=data, hop=grid.hop,
-                         bins_per_octave=params.bins_per_octave,
-                         floor_db=params.floor_db)
+    return FeatureMatrix(data=data, hop=grid.hop)
 
 
 def pitch_shift_cqt(feat: FeatureMatrix, k: int) -> FeatureMatrix:
@@ -236,7 +238,7 @@ def perfect_intervals(ann: Annotation) -> BeatIntervals:
     return BeatIntervals(intervals=tuple((start, end) for start, end, _ in ann.segments))
 
 
-def beat_pool(feat: FeatureMatrix, beats: BeatIntervals) -> tuple[FeatureMatrix, BeatIntervals]:
+def beat_pool(feat: FeatureMatrix, beats: BeatIntervals) -> FeatureMatrix:
     """Average frame rows whose centers fall inside each interval.
 
     Empty intervals inherit the nearest preceding pooled row (or the first
@@ -257,6 +259,4 @@ def beat_pool(feat: FeatureMatrix, beats: BeatIntervals) -> tuple[FeatureMatrix,
     # an empty interval takes the last filled row before it, else the first
     filled = count > 0
     source = np.maximum.accumulate(np.where(filled, np.arange(len(count)), np.argmax(filled)))
-    out = FeatureMatrix(data=means[source].astype(np.float32), hop=feat.hop,
-                        bins_per_octave=feat.bins_per_octave, floor_db=feat.floor_db)
-    return out, beats
+    return replace(feat, data=means[source].astype(np.float32))

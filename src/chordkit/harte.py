@@ -58,7 +58,9 @@ _DEGREE_RE = re.compile(r"(\*?)([#b]*)([0-9]{1,2})")
 
 # The module grammar as one pattern; degree numbers are checked after the match.
 # Digits are ASCII: ``\d`` would also match other scripts' decimal digits.
-_LIST_DEGREE = r"\s*\*?[#b]*[0-9]{1,2}\s*"
+# List degrees may be padded with spaces or tabs; ``\s`` would also take
+# newlines, Unicode spaces and the ASCII separators \x1c-\x1f.
+_LIST_DEGREE = r"[ \t]*\*?[#b]*[0-9]{1,2}[ \t]*"
 _CHORD_RE = re.compile(
     r"(?P<note>[A-G])(?P<accidentals>[#b]*)"
     r":(?P<quality>" + "|".join(map(re.escape, QUALITY_TEMPLATES)) + ")"

@@ -70,6 +70,7 @@ N_PITCH_CLASSES = 12
 N_AUX = N_ROOT_CLASSES + N_PITCH_CLASSES  # root and pitch-class logits
 SHIFT_CHOICES = (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6)
 COUNT_GUARD = 10.0
+VALIDATE_EVERY = 5  # epochs between validation passes; the last epoch always validates
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -83,7 +84,6 @@ class TrainConfig:
     weight_alpha: float = 0.0
     structured_gamma: float = 1.0
     seed: int = 0
-    validate_every: int = 5
 
     def __post_init__(self):
         if not 0 <= self.shift_probability <= 1:
@@ -511,7 +511,7 @@ def _fit(params: ModelParams, epoch_batches, weights: np.ndarray, cfg: TrainConf
 
     ``epoch_batches`` returns one epoch's (data, targets, mask) batches,
     drawing from the run's one generator, seeded by cfg.seed. With ``val``,
-    validation runs every cfg.validate_every epochs and on the last one, and
+    validation runs every VALIDATE_EVERY epochs and on the last one, and
     the parameters of the lowest validation loss are returned.
     """
     rng = np.random.default_rng(cfg.seed)
@@ -534,7 +534,7 @@ def _fit(params: ModelParams, epoch_batches, weights: np.ndarray, cfg: TrainConf
             n_batches += 1
 
         record = {"epoch": epoch, "lr": lr, "train_loss": epoch_loss / n_batches}
-        if val and (epoch % cfg.validate_every == 0 or epoch == cfg.epochs - 1):
+        if val and (epoch % VALIDATE_EVERY == 0 or epoch == cfg.epochs - 1):
             val_loss, val_acc = evaluate(params, val, val_ids, weights,
                                          cfg.structured_gamma, vocab)
             record["val_loss"], record["val_acc"] = val_loss, val_acc
@@ -551,7 +551,7 @@ def train(dataset, val, cfg: TrainConfig, vocab: Vocabulary, arch: str = "logist
 
     Each epoch samples one patch of cfg.patch_seconds per training song and
     independently pitch-shifts it with probability cfg.shift_probability.
-    Validation runs every cfg.validate_every epochs and the best-validation
+    Validation runs every VALIDATE_EVERY epochs and the best-validation
     parameters are returned. Deterministic given cfg.seed.
     """
     if not dataset:

@@ -215,15 +215,6 @@ def id_label(chord_id: int, vocab: Vocabulary) -> ChordLabel:
     return ChordLabel(kind=ChordKind.CHORD, root=root, quality=quality)
 
 
-def id_pitch_classes(chord_id: int, vocab: Vocabulary) -> frozenset[int]:
-    """Absolute pitch classes of a chord id; empty set for N and X."""
-    info = id_info(chord_id, vocab)
-    if info in ("N", "X"):
-        return frozenset()
-    root, _ = info
-    return frozenset((p + root) % 12 for p in vocab.templates[chord_id // 12])
-
-
 def check_ids(ids, vocab: Vocabulary, error: type[Exception] = IdOutOfRange) -> np.ndarray:
     """``ids`` as an int64 array; raises ``error`` if one lies outside [0, C)."""
     ids = np.asarray(ids, dtype=np.int64)

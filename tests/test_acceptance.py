@@ -346,7 +346,7 @@ def test_criterion_10_beat_synchronisation():
                 else:
                     beats = list(np.arange(0.0, 20.0, 60.0 / bpm))
                     intervals = beat_intervals(beats, division, duration=20.0)
-                pooled, intervals = beat_pool(feat, intervals)
+                pooled = beat_pool(feat, intervals)
                 rows.append(pooled.data)
                 targets.append(interval_labels(ann, intervals.intervals, V170))
             rows = np.concatenate(rows)

@@ -183,6 +183,35 @@ class TestPredictSmoothEval:
                     "--beat-division", "perfect",
                     "--out", tmp_path / "x"]) == 1
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--beat-division", "0.5"], "--beat-file"),
+        (["--ann", "{ann}"], "--ann"),
+        (["--beat-division", "perfect", "--ann", "{ann}", "--beat-file", "{beats}"],
+         "--beat-file"),
+    ], ids=["division-without-beats", "ann-without-perfect", "beats-with-perfect"])
+    def test_unread_beat_flag_exits_one(self, dataset, trained, tmp_path, capsys, flags, named):
+        beats = tmp_path / "beats.txt"
+        beats.write_text("0.5\n1.0\n")
+        out = tmp_path / "pred"
+        flags = [f.format(ann=dataset / "song_0000.tsv", beats=beats) for f in flags]
+        assert run(["predict", "--model", trained / "model.npz",
+                    "--features", dataset / "song_0000.cqtf", *flags, "--out", out]) == 1
+        error = _one_json_error(capsys)
+        assert error["error"] == "ChordkitError" and named in error["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("with_beats, division", [(False, None), (True, "1")])
+    def test_manifest_records_the_division_used(self, dataset, trained, tmp_path, with_beats,
+                                                division):
+        beats = tmp_path / "beats.txt"
+        beats.write_text("0.5\n1.0\n")
+        out = tmp_path / "pred"
+        assert run(["predict", "--model", trained / "model.npz",
+                    "--features", dataset / "song_0000.cqtf",
+                    *(["--beat-file", beats] if with_beats else []), "--out", out]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["config"]["beat_division"] == division
+
 
 def _one_json_error(capsys):
     lines = capsys.readouterr().err.strip().splitlines()

@@ -5,20 +5,29 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from chordkit.annotate import DEFAULT_HOP, FrameGrid, fill_gaps, grid_for
+from chordkit.annotate import DEFAULT_HOP, fill_gaps, grid_for
 from chordkit.errors import (BadBinConfig, BadHeader, BadMagic, ChordkitError,
                              EmptyBeatList, MalformedLine, NonFiniteFeatures,
                              TruncatedPayload, VersionMismatch)
-from chordkit.features import (BeatIntervals, FeatureMatrix, RenderParams,
+from chordkit.features import (DEFAULT_BINS_PER_OCTAVE, DEFAULT_FLOOR_DB, DEFAULT_N_BINS,
+                               BeatIntervals, FeatureMatrix, RenderParams,
                                beat_intervals, beat_pool, bin_pitch_classes,
                                load_beats, load_features, perfect_intervals,
                                pitch_shift_cqt, render_synthetic_cqt,
                                save_features)
-from chordkit.harte import parse_chord
+from chordkit.harte import NO_CHORD, parse_chord
 
 
 def make_ann(rows, duration=None):
     return fill_gaps([(s, e, parse_chord(t)) for s, e, t in rows], duration=duration)
+
+
+def reference_label_at(ann, t):
+    """Label of the segment whose half-open [start, end) holds t, by a linear scan."""
+    for start, end, label in ann.segments:
+        if start <= t < end:
+            return label
+    return NO_CHORD
 
 
 def make_feat(data, hop=DEFAULT_HOP, bpo=36):
@@ -198,25 +207,25 @@ class TestRenderer:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), noise=st.sampled_from([0.0, 4.0]))
     def test_matches_per_frame_reference(self, seed, noise):
-        # the renderer before it shared annotate.segment_index: one
-        # Annotation.label_at scan per frame center
+        # the renderer before it shared annotate.segment_index: one linear
+        # segment scan per frame center; chords peak at 0 dB, 6 dB less per octave
         from chordkit import harte
         from chordkit.synthgen import ProgressionConfig, generate_song
         ann, _, _ = generate_song(ProgressionConfig(duration=20.0), seed)
         grid = grid_for(21.0)  # a tail past the annotation stays at the floor
         params = RenderParams(noise_db=noise, seed=seed)
-        pcs = bin_pitch_classes(params.n_bins, params.bins_per_octave)
-        octaves = np.arange(params.n_bins) // (params.bins_per_octave // 12) // 12
-        data = np.full((grid.n_frames, params.n_bins), params.floor_db, dtype=np.float32)
+        pcs = bin_pitch_classes(DEFAULT_N_BINS, DEFAULT_BINS_PER_OCTAVE)
+        octaves = np.arange(DEFAULT_N_BINS) // (DEFAULT_BINS_PER_OCTAVE // 12) // 12
+        data = np.full((grid.n_frames, DEFAULT_N_BINS), DEFAULT_FLOOR_DB, dtype=np.float32)
         for i, t in enumerate(grid.centers()):
-            label = ann.label_at(t)
+            label = reference_label_at(ann, t)
             if label.is_chord():
                 mask = np.isin(pcs, list(harte.pitch_class_set(label)))
-                data[i, mask] = params.peak_db - params.octave_rolloff_db * octaves[mask]
+                data[i, mask] = 0.0 - 6.0 * octaves[mask]
         if noise > 0:
             rng = np.random.default_rng(params.seed)
             data = data + rng.normal(0.0, noise, size=data.shape).astype(np.float32)
-            data = np.maximum(data, params.floor_db)
+            data = np.maximum(data, DEFAULT_FLOOR_DB)
         got = render_synthetic_cqt(ann, grid, params).data
         assert got.dtype == data.dtype and got.tobytes() == data.tobytes()
 
@@ -350,7 +359,7 @@ class TestBeatPool:
         data = np.array([[0.0], [2.0], [4.0], [6.0]])
         feat = make_feat(data, hop=1.0, bpo=12)
         bi = BeatIntervals(intervals=((0.0, 2.0), (2.0, 4.0)))
-        pooled, _ = beat_pool(feat, bi)
+        pooled = beat_pool(feat, bi)
         assert pooled.data[:, 0] == pytest.approx([1.0, 5.0])
 
     def test_empty_interval_inherits_previous(self):
@@ -358,14 +367,14 @@ class TestBeatPool:
         feat = make_feat(data, hop=1.0, bpo=12)
         # middle interval (2.0, 2.2) contains no frame center
         bi = BeatIntervals(intervals=((0.0, 2.0), (2.0, 2.2), (2.2, 4.0)))
-        pooled, _ = beat_pool(feat, bi)
+        pooled = beat_pool(feat, bi)
         assert pooled.data[:, 0] == pytest.approx([2.0, 2.0, 2.0])
 
     def test_leading_empty_back_filled(self):
         data = np.array([[5.0]])
         feat = make_feat(data, hop=1.0, bpo=12)
         bi = BeatIntervals(intervals=((0.0, 0.2), (0.2, 1.0)))
-        pooled, _ = beat_pool(feat, bi)
+        pooled = beat_pool(feat, bi)
         assert pooled.data[:, 0] == pytest.approx([5.0, 5.0])
 
     def test_all_empty_rejected(self):
@@ -381,6 +390,6 @@ class TestBeatPool:
         feat = make_feat(rng.normal(size=(n_frames, 3)), hop=1.0, bpo=12)
         edges = np.linspace(0.0, n_frames, n_ivals + 1)
         bi = BeatIntervals(intervals=tuple(zip(edges, edges[1:])))
-        pooled, _ = beat_pool(feat, bi)
+        pooled = beat_pool(feat, bi)
         lo, hi = feat.data.min(), feat.data.max()
         assert (pooled.data >= lo - 1e-5).all() and (pooled.data <= hi + 1e-5).all()

@@ -39,6 +39,12 @@ class TestParse:
         label = parse_chord("C:maj7(*5)")
         assert label.omissions == ("5",)
 
+    @pytest.mark.parametrize("padded, text", [
+        ("C:maj( 3)", "C:maj(3)"), ("C:maj(\t3)", "C:maj(3)"), ("C:maj(3 ,\t5 )", "C:maj(3,5)"),
+    ])
+    def test_list_degrees_padded_with_spaces_or_tabs(self, padded, text):
+        assert format_chord(parse_chord(padded)) == text
+
     def test_accidentals(self):
         assert parse_chord("Db:maj").root == 1
         assert parse_chord("C#:maj").root == 1
@@ -49,6 +55,7 @@ class TestParse:
         "C:maj(14)", "C:maj()", "C:maj/*3", "N:maj",
         "C:maj(8)", "C:maj(b10)", "C:min(*12)", "C:7(9, 12)", "C\n:maj", "C:maj(3)\n/5",
         "C:maj(\u0663)", "C:maj/\u0663", "C:maj(1\u0663)",  # Arabic-Indic digit three
+        "C:maj(\u20033)", "C:maj(\x1c3)", "C:maj(3\n)",  # em space, separator, newline
     ])
     def test_rejects_bad_input(self, bad):
         with pytest.raises(MalformedChord):
@@ -187,10 +194,11 @@ def reference_parse_chord(text: str) -> ChordLabel:
 
 def rejected_on_purpose(text: str, reference: ChordLabel) -> bool:
     """Labels the reference accepts and ``parse_chord`` rejects: a list
-    degree of 8, 10 or 12, or a newline right before the ':' or the bass's
-    '/', which the reference's ``$`` let through."""
+    degree of 8, 10 or 12, or whitespace other than spaces and tabs. The
+    reference's ``strip`` took any whitespace around a list degree, and its
+    ``$`` let a newline through right before the ':' or the bass's '/'."""
     numbers = {int(token.lstrip("#b")) for token in reference.additions + reference.omissions}
-    return bool(numbers & {8, 10, 12}) or "\n:" in text or "\n/" in text
+    return bool(numbers & {8, 10, 12}) or any(c.isspace() and c not in " \t" for c in text)
 
 
 _FRAGMENTS = (list("ABCDEFGHNX#b*:(),/ \t\n") + [str(n) for n in range(15)]

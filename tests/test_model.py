@@ -458,7 +458,7 @@ class TestTrain:
 
     def test_validation_cadence(self):
         ds = tiny_dataset()
-        cfg = TrainConfig(epochs=7, seed=0, validate_every=5)
+        cfg = TrainConfig(epochs=7, seed=0)
         _, hist = train(ds[:2], ds[2:], cfg, V26)
         with_val = [rec["epoch"] for rec in hist if "val_loss" in rec]
         assert with_val == [0, 5, 6]
@@ -524,8 +524,7 @@ class TestFitLoop:
         # model fits the training songs: the best epoch is not the last
         songs = tiny_dataset(n_songs=4)
         val = [(feat, transpose_annotation(ann, 1)) for feat, ann in songs[2:]]
-        cfg = TrainConfig(epochs=8, seed=0, learning_rate=0.05, validate_every=3,
-                          patch_seconds=5.0)
+        cfg = TrainConfig(epochs=8, seed=0, learning_rate=0.05, patch_seconds=5.0)
         params, history = train(songs[:2], val, cfg, V26)
         val_losses = [rec["val_loss"] for rec in history if "val_loss" in rec]
         assert min(val_losses) < val_losses[-1]

@@ -10,14 +10,23 @@ from chordkit.metrics import (MetricKind, TimedPath, Verdict, class_wise_scores,
                               compare_labels, confusion_matrix, path_from_frames, wcsr)
 from chordkit.model import SHIFT_CHOICES, expected_counts, pitch_targets, root_targets
 from chordkit.synthgen import RATIO_EPS, apply_calibration, calibration_ratios, id_distribution
-from chordkit.vocab import (id_info, id_pitch_classes, transpose_id, vocabulary_26,
-                            vocabulary_170)
+from chordkit.vocab import id_info, transpose_id, vocabulary_26, vocabulary_170
 
 V170 = vocabulary_170()
 V26 = vocabulary_26()
 VOCABS = [V170, V26]
 
 # --- scalar reference comparator: the per-id rules the tables replace ---
+
+
+def reference_pitch_classes(chord_id, vocab):
+    """Absolute pitch classes of a chord id; empty set for N and X."""
+    info = id_info(chord_id, vocab)
+    if info in ("N", "X"):
+        return frozenset()
+    root, _ = info
+    return frozenset((p + root) % 12 for p in vocab.templates[chord_id // 12])
+
 
 _THIRD_SLOT = (3, 4, 2, 5)
 _SEVENTH_SLOT = (11, 10, 9)
@@ -64,7 +73,7 @@ def reference_compare(kind, ref, est, vocab):
             return Verdict.CORRECT if ref_n and est_n else Verdict.INCORRECT
         if est == vocab.x_id:
             return Verdict.INCORRECT
-        shared = id_pitch_classes(ref, vocab) & id_pitch_classes(est, vocab)
+        shared = reference_pitch_classes(ref, vocab) & reference_pitch_classes(est, vocab)
         return Verdict.CORRECT if len(shared) >= 3 else Verdict.INCORRECT
     if kind is MetricKind.SEVENTH:
         if ref_n:
@@ -168,7 +177,8 @@ class TestClassTables:
         for chord_id in range(vocab.size):
             info = id_info(chord_id, vocab)
             assert t.root[chord_id] == (12 if info == "N" else 13 if info == "X" else info[0])
-            assert set(np.flatnonzero(t.pitch[chord_id])) == id_pitch_classes(chord_id, vocab)
+            assert set(np.flatnonzero(t.pitch[chord_id])) == \
+                reference_pitch_classes(chord_id, vocab)
 
     @pytest.mark.parametrize("vocab", VOCABS, ids=["170", "26"])
     def test_majmin_and_quality_axis(self, vocab):

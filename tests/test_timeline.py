@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chordkit import harte
-from chordkit.annotate import (Annotation, FrameGrid, fill_gaps, interval_labels,
-                               transition_mask)
+from chordkit.annotate import Annotation, fill_gaps, interval_labels
 from chordkit.errors import EmptyBeatList, EmptySequence
 from chordkit.decode import count_transitions, incorrect_regions
 from chordkit.features import (BeatIntervals, FeatureMatrix, beat_intervals, beat_pool,
@@ -92,15 +91,6 @@ def reference_interval_labels(ann, intervals, vocab):
             overlap[vocab.n_id] = overlap.get(vocab.n_id, 0.0) + uncovered
         ids[i] = max(overlap.items(), key=lambda kv: (kv[1], -kv[0]))[0]
     return ids
-
-
-def reference_transition_mask(ann, grid):
-    mask = np.zeros(grid.n_frames, dtype=bool)
-    for t in ann.boundaries():
-        i = int(t / grid.hop)
-        if 0 <= i < grid.n_frames:
-            mask[i] = True
-    return mask
 
 
 # --- strategies ---
@@ -202,8 +192,7 @@ def test_beat_pool_equals_mask_loop(data, n_bins, hop, seed):
         with pytest.raises(EmptyBeatList):
             beat_pool(feat, intervals)
         return
-    pooled, returned = beat_pool(feat, intervals)
-    assert returned is intervals
+    pooled = beat_pool(feat, intervals)
     assert pooled.data.dtype == np.float32
     assert pooled.data.tobytes() == expected.tobytes()
 
@@ -212,7 +201,7 @@ def test_beat_pool_one_bin_agrees_to_rounding():
     values = np.random.default_rng(3).normal(size=(200, 1)).astype(np.float32)
     feat = FeatureMatrix(data=values, hop=0.1)
     intervals = beat_intervals([0.0, 3.3, 7.1, 12.0, 19.95], "1", duration=20.0)
-    pooled, _ = beat_pool(feat, intervals)
+    pooled = beat_pool(feat, intervals)
     np.testing.assert_allclose(pooled.data, reference_beat_pool(feat, intervals), rtol=1e-6)
 
 
@@ -235,10 +224,3 @@ def test_interval_labels_ties_go_to_lowest_id():
     assert interval_labels(half, [(0.0, 2.0)], V170).tolist() == [1]
     assert interval_labels(half, [], V170).tolist() == []
 
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), hop=st.sampled_from([0.0928798, 0.05, 0.2, 0.5, 1.0]))
-def test_transition_mask_equals_boundary_loop(data, hop):
-    ann = data.draw(annotations())
-    grid = FrameGrid(hop=hop, n_frames=data.draw(st.integers(0, 200)))
-    assert np.array_equal(transition_mask(ann, grid), reference_transition_mask(ann, grid))
