@@ -69,7 +69,7 @@ def _log_transitions(cfg: DecoderConfig) -> tuple[float, float]:
 
 def viterbi_smooth(post: np.ndarray, cfg: DecoderConfig) -> np.ndarray:
     """Most probable state path given per-frame emission posteriors."""
-    post = np.asarray(post, dtype=np.float64)
+    post = np.asarray(post, dtype=np.float64, order="C")  # the recursion walks rows
     if post.ndim != 2 or post.shape[0] == 0:
         raise EmptySequence("posteriorgram must be a non-empty 2-D array")
     if post.shape[1] != cfg.n_classes:

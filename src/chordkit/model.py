@@ -14,17 +14,25 @@ L_root is a 14-way cross-entropy (12 roots plus N and X as their own
 classes), L_pitch the mean of 12 binary cross-entropies against the
 target's pitch-class membership (all-zero for N/X targets).
 
-The chord, root and pitch logits of a batch share one [n, C + 26] buffer:
-the logistic model fills it with a single ``x @ [Wc|Wr|Wp]``. Softmax and
-sigmoid turn its column blocks into probabilities in place, the loss
-gradient overwrites those in place, and one ``x.T @ buffer`` gives the
-three weight gradients as its column blocks. The hidden layer's context
-window is never copied out: one ``x @ W1'``, W1' holding W1's 2w+1 row
-blocks side by side, is summed block by block at each block's frame shift,
-and W1's gradient is one ``x.T @ E`` with the gradient rows shifted back
-into E. Frames past either end of the input count as zeros. Input
-standardization is fitted song by song, == to the moments of all training
-rows concatenated.
+The chord, root and pitch logits of a batch share one class-major
+[C + 26, n] buffer, which the model hands on as its [n, C + 26] transpose.
+Each head is then one contiguous block with a frame per column (F order),
+which numpy's reductions and elementwise passes walk in memory order. The
+logistic model fills the buffer with a single ``[Wc|Wr|Wp].T @ x.T``; the
+hidden model puts its chord logits ``W2.T @ [h|root|pitch].T`` above its root
+and pitch logits. Softmax and sigmoid turn the blocks into probabilities in
+place, the loss gradient overwrites those in place, and one ``x.T @ buffer``
+gives the three weight gradients as its column blocks. The hidden layer's
+context window is never copied out: offset by offset, the input rows shifted
+by s = j - w times W1's row block j are added to the rows they reach, and
+row block j of W1's gradient is those shifted rows, transposed, times the
+gradient rows they reach, written in place. Frames past either end of the
+input count as zeros, so no temporary grows with the window's width.
+
+Input standardization is fitted song by song, == to the moments of all
+training rows concatenated. Training batches are standardized in the buffer
+they are laid out in, == to standardizing the zero-padded batch: no
+standardized copy of the training songs is kept.
 
 The model computes in its weights' dtype, and inputs are standardized into
 it. :func:`train` and :func:`fit_rows` make the weights in the training
@@ -209,26 +217,23 @@ def _window_blocks(n: int, w: int):
 
 def _window_matmul(x: np.ndarray, W1: np.ndarray, w: int, out: np.ndarray) -> np.ndarray:
     """Each row's context window of frames i-w..i+w, zero-padded at the
-    edges, times W1, written to ``out``. One ``x @ W1'``, with W1's 2w+1 row
-    blocks side by side in W1', then each column block summed at its shift."""
-    d, n_h = x.shape[1], W1.shape[1]
-    k = 2 * w + 1
-    y = x @ W1.reshape(k, d, n_h).transpose(1, 0, 2).reshape(d, k * n_h)
+    edges, times W1, written to ``out``: per offset s = j - w, the rows
+    shifted by s times W1's row block j, added to the rows they reach."""
+    d = x.shape[1]
     out[...] = 0.0
     for j, lo, hi, s in _window_blocks(len(x), w):
-        out[lo:hi] += y[lo + s:hi + s, j * n_h:(j + 1) * n_h]
+        out[lo:hi] += x[lo + s:hi + s] @ W1[j * d:(j + 1) * d]
     return out
 
 
 def _window_grad(x: np.ndarray, d_pre: np.ndarray, w: int) -> np.ndarray:
-    """Gradient of W1 in :func:`_window_matmul`: one ``x.T @ E``, where E
-    holds d_pre's rows shifted to each block's input frame."""
-    d, (n, n_h) = x.shape[1], d_pre.shape
-    k = 2 * w + 1
-    e = np.zeros((n, k * n_h), dtype=x.dtype)
-    for j, lo, hi, s in _window_blocks(n, w):
-        e[lo + s:hi + s, j * n_h:(j + 1) * n_h] = d_pre[lo:hi]
-    return (x.T @ e).reshape(d, k, n_h).transpose(1, 0, 2).reshape(k * d, n_h)
+    """Gradient of W1 in :func:`_window_matmul`: row block j is the rows
+    shifted by s = j - w, transposed, times the d_pre rows they reach."""
+    d = x.shape[1]
+    g = np.zeros(((2 * w + 1) * d, d_pre.shape[1]), dtype=x.dtype)
+    for j, lo, hi, s in _window_blocks(len(x), w):
+        np.matmul(x[lo + s:hi + s].T, d_pre[lo:hi], out=g[j * d:(j + 1) * d])
+    return g
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -254,14 +259,15 @@ def _heads(z: np.ndarray, n_classes: int):
 
 
 def _forward_raw(params: ModelParams, x: np.ndarray):
-    """(logits, cache): the chord, root and pitch logits side by side in one
-    [n, C + 26] buffer, and what backprop needs besides. x is standardized
-    input; the cache is x (logistic) or the chord layer's input (hidden)."""
+    """(logits, cache): the chord, root and pitch logits side by side, as the
+    [n, C + 26] transpose of one class-major buffer, and what backprop needs
+    besides. x is standardized input; the cache is x (logistic) or the chord
+    layer's input (hidden)."""
     w = params.weights
     if params.arch == "logistic":
-        z = x @ np.hstack((w["Wc"], w["Wr"], w["Wp"]))
-        z += np.concatenate((w["bc"], w["br"], w["bp"]))
-        return z, x
+        z = np.vstack((w["Wc"].T, w["Wr"].T, w["Wp"].T)) @ x.T
+        z += np.concatenate((w["bc"], w["br"], w["bp"]))[:, None]
+        return z.T, x
     n_h, C = params.hidden_units, params.n_classes
     # the chord layer's input: [h | root logits | pitch logits]
     combined = np.empty((len(x), n_h + N_AUX), dtype=x.dtype)
@@ -271,11 +277,11 @@ def _forward_raw(params: ModelParams, x: np.ndarray):
     np.maximum(h, 0.0, out=h)
     np.matmul(h, np.hstack((w["Wr"], w["Wp"])), out=aux)
     aux += np.concatenate((w["br"], w["bp"]))
-    z = np.empty((len(x), C + N_AUX), dtype=x.dtype)
-    np.matmul(combined, w["W2"], out=z[:, :C])
-    z[:, :C] += w["b2"]
-    z[:, C:] = aux
-    return z, combined
+    z = np.empty((C + N_AUX, len(x)), dtype=x.dtype)
+    np.matmul(w["W2"].T, combined.T, out=z[:C])
+    z[:C] += w["b2"][:, None]
+    z[C:] = aux.T
+    return z.T, combined
 
 
 def _probabilities(z: np.ndarray, n_classes: int):
@@ -292,7 +298,8 @@ def standardize(params: ModelParams, data: np.ndarray) -> np.ndarray:
 
 
 def forward(params: ModelParams, feat: FeatureMatrix | np.ndarray):
-    """Posteriorgram plus root and pitch-class probabilities per frame."""
+    """Posteriorgram plus root and pitch-class probabilities per frame, each
+    an [n, k] view of one class-major buffer."""
     data = feat.data if isinstance(feat, FeatureMatrix) else np.asarray(feat)
     if data.ndim != 2 or data.shape[1] != params.n_bins:
         raise DimensionMismatch(
@@ -331,7 +338,9 @@ def _loss(outputs, targets, weights: np.ndarray, gamma: float, idx: np.ndarray) 
     l_root = float(np.mean(-np.log(p_root + eps)))
     p_t = pitch_t[idx]
     pp = np.clip(pitch_probs[idx].astype(np.float64), 1e-12, 1 - 1e-12)
-    l_pitch = float(np.mean(-(p_t * np.log(pp) + (1 - p_t) * np.log(1 - pp))))
+    # targets are 0 or 1, so one log per entry gives each term of
+    # p_t * log(pp) + (1 - p_t) * log(1 - pp): the other term is 0 * finite
+    l_pitch = float(np.mean(-np.log(np.where(p_t > 0, pp, 1 - pp))))
     return gamma * l_chord + (1.0 - gamma) * (l_root + l_pitch)
 
 
@@ -352,6 +361,14 @@ def loss_and_grads(params: ModelParams, data: np.ndarray, targets: np.ndarray,
                    weights: np.ndarray, gamma: float, vocab: Vocabulary,
                    mask: np.ndarray | None = None):
     """Loss and analytic parameter gradients for one batch of frames."""
+    return _loss_and_grads(params, standardize(params, data), targets, weights, gamma,
+                           vocab, mask)
+
+
+def _loss_and_grads(params: ModelParams, x: np.ndarray, targets: np.ndarray,
+                    weights: np.ndarray, gamma: float, vocab: Vocabulary,
+                    mask: np.ndarray | None):
+    """:func:`loss_and_grads` of a batch standardized into ``x``."""
     targets, r_t, p_t = built = _targets(targets, vocab)
     if mask is None:
         mask = np.ones(len(targets), dtype=bool)
@@ -359,7 +376,6 @@ def loss_and_grads(params: ModelParams, data: np.ndarray, targets: np.ndarray,
     if n == 0:
         raise EmptyDataset("batch contains no unmasked frames")
 
-    x = standardize(params, data)
     z, cache = _forward_raw(params, x)
     post, root_probs, pitch_probs = _probabilities(z, params.n_classes)
     loss = _loss((post, root_probs, pitch_probs), built, weights, gamma, np.flatnonzero(mask))
@@ -468,9 +484,12 @@ def _standardized_init(arch: str, blocks: list[np.ndarray], vocab: Vocabulary,
     return params
 
 
-def _patch_batches(rng, dataset, ids_per_song, cfg: TrainConfig, vocab: Vocabulary):
+def _patch_batches(rng, dataset, ids_per_song, params: ModelParams, cfg: TrainConfig,
+                   vocab: Vocabulary):
     """One epoch of ``train`` batches: a patch per song, optionally pitch-shifted,
-    zero-padded to the longest in its batch; the mask marks the real frames."""
+    zero-padded to the longest in its batch and standardized in the batch's
+    buffer, == to :func:`standardize` of the zero-padded batch; the mask
+    marks the real frames."""
     n_bins = dataset[0][0].n_bins
     patch_frames = max(1, round(cfg.patch_seconds / dataset[0][0].hop))
     patches = []
@@ -487,32 +506,37 @@ def _patch_batches(rng, dataset, ids_per_song, cfg: TrainConfig, vocab: Vocabula
     for b in range(0, len(patches), cfg.batch_size):
         batch = patches[b:b + cfg.batch_size]
         longest = max(x.shape[0] for x, _ in batch)
-        xs = np.zeros((len(batch), longest, n_bins), dtype=np.result_type(*(x for x, _ in batch)))
+        xs = np.empty((len(batch), longest, n_bins), dtype=params.dtype)
         ys = np.zeros((len(batch), longest), dtype=np.int64)
         mask = np.zeros((len(batch), longest), dtype=bool)
         for j, (x, y) in enumerate(batch):
-            xs[j, :x.shape[0]] = x
-            ys[j, :x.shape[0]] = y
-            mask[j, :x.shape[0]] = True
+            m = x.shape[0]
+            np.subtract(x, params.mean, out=xs[j, :m])
+            np.subtract(0.0, params.mean, out=xs[j, m:])  # 0 - mean: a zero mean gives +0.0
+            ys[j, :m] = y
+            mask[j, :m] = True
+        xs /= params.std
         yield xs.reshape(-1, n_bins), ys.reshape(-1), mask.reshape(-1)
 
 
-def _row_batches(rng, rows: np.ndarray, targets: np.ndarray, batch_size: int):
-    """One epoch of ``fit_rows`` batches: every row once, in shuffled order."""
+def _row_batches(rng, rows: np.ndarray, targets: np.ndarray, params: ModelParams,
+                 batch_size: int):
+    """One epoch of ``fit_rows`` batches: every row once, in shuffled order,
+    standardized."""
     order = rng.permutation(len(rows))
     for b in range(0, len(order), batch_size):
         sel = order[b:b + batch_size]
-        yield rows[sel], targets[sel], None
+        yield standardize(params, rows[sel]), targets[sel], None
 
 
 def _fit(params: ModelParams, epoch_batches, weights: np.ndarray, cfg: TrainConfig,
          vocab: Vocabulary, val=(), val_ids=()):
     """Adam over ``epoch_batches(rng)`` for cfg.epochs epochs with a cosine rate.
 
-    ``epoch_batches`` returns one epoch's (data, targets, mask) batches,
-    drawing from the run's one generator, seeded by cfg.seed. With ``val``,
-    validation runs every VALIDATE_EVERY epochs and on the last one, and
-    the parameters of the lowest validation loss are returned.
+    ``epoch_batches`` returns one epoch's (x, targets, mask) batches, x
+    standardized, drawing from the run's one generator, seeded by cfg.seed.
+    With ``val``, validation runs every VALIDATE_EVERY epochs and on the
+    last one, and the parameters of the lowest validation loss are returned.
     """
     rng = np.random.default_rng(cfg.seed)
     adam = _AdamState(m={k: np.zeros_like(v) for k, v in params.weights.items()},
@@ -524,9 +548,9 @@ def _fit(params: ModelParams, epoch_batches, weights: np.ndarray, cfg: TrainConf
     for epoch in range(cfg.epochs):
         lr = cosine_lr(cfg.learning_rate, epoch, cfg.epochs)
         epoch_loss, n_batches = 0.0, 0
-        for data, targets, mask in epoch_batches(rng):
-            loss, grads = loss_and_grads(params, data, targets, weights,
-                                         cfg.structured_gamma, vocab, mask=mask)
+        for x, targets, mask in epoch_batches(rng):
+            loss, grads = _loss_and_grads(params, x, targets, weights, cfg.structured_gamma,
+                                          vocab, mask)
             if not math.isfinite(loss):
                 raise NonFiniteLoss(epoch)
             _adam_step(params, grads, adam, lr)
@@ -556,6 +580,11 @@ def train(dataset, val, cfg: TrainConfig, vocab: Vocabulary, arch: str = "logist
     """
     if not dataset:
         raise EmptyDataset("empty training set")
+    n_bins = dataset[0][0].n_bins
+    for i, (feat, _) in enumerate(dataset):
+        if feat.n_bins != n_bins:
+            raise DimensionMismatch(f"training song {i} has {feat.n_bins} bins; "
+                                    f"song 0 has {n_bins}")
     params = _standardized_init(arch, [feat.data for feat, _ in dataset], vocab, cfg,
                                 hidden_units, context)
 
@@ -564,7 +593,7 @@ def train(dataset, val, cfg: TrainConfig, vocab: Vocabulary, arch: str = "logist
     weights = class_weights(expected_counts(counts, cfg.shift_probability, vocab),
                             cfg.weight_alpha)
     val_ids = dataset_frame_ids(val, vocab) if val else []
-    return _fit(params, lambda rng: _patch_batches(rng, dataset, train_ids, cfg, vocab),
+    return _fit(params, lambda rng: _patch_batches(rng, dataset, train_ids, params, cfg, vocab),
                 weights, cfg, vocab, val, val_ids)
 
 
@@ -582,7 +611,7 @@ def fit_rows(rows: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
         raise EmptyDataset("no rows to fit")
     params = _standardized_init(arch, [rows], vocab, cfg, hidden_units, context=0)
     counts = np.bincount(targets, minlength=vocab.size).astype(np.float64)
-    return _fit(params, lambda rng: _row_batches(rng, rows, targets, cfg.batch_size),
+    return _fit(params, lambda rng: _row_batches(rng, rows, targets, params, cfg.batch_size),
                 class_weights(counts, cfg.weight_alpha), cfg, vocab)
 
 
@@ -696,7 +725,8 @@ def save_posteriors(path, post: np.ndarray, vocab_hash: str, hop: float,
     """
     arrays = {} if intervals is None else {"intervals": np.asarray(intervals, dtype=np.float64)}
     meta = {"version": 1, "vocab_hash": vocab_hash, "hop": hop}
-    np.savez(path, meta=json.dumps(meta, sort_keys=True), posteriors=post, **arrays)
+    np.savez(path, meta=json.dumps(meta, sort_keys=True), posteriors=np.ascontiguousarray(post),
+             **arrays)
 
 
 def load_posteriors(path, vocab: Vocabulary):

@@ -21,9 +21,8 @@ from chordkit.features import (RenderParams, beat_intervals, beat_pool,
 from chordkit.harte import parse_chord, pitch_class_set, transpose_label
 from chordkit.metrics import (MetricKind, TimedPath, Verdict, compare_labels,
                               path_from_annotation, path_from_frames, wcsr)
-from chordkit.model import (TrainConfig, class_weights, fit_rows, forward,
-                            init_params, loss_and_grads, predict_frames,
-                            train)
+from chordkit.model import (TrainConfig, class_weights, fit_rows, init_params,
+                            loss_and_grads, predict_frames, train)
 from chordkit.synthgen import (ProgressionConfig, apply_calibration,
                                calibration_ratios, generate_song)
 from chordkit.vocab import (id_label, map_label, transpose_id, vocabulary_26,

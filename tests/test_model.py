@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,16 +7,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chordkit.annotate import transpose_annotation
+from chordkit.decode import DecoderConfig, viterbi_smooth
 from chordkit.errors import (AllZeroCounts, BadCheckpoint, ChordkitError, DimensionMismatch,
                              EmptyDataset, NonFiniteLoss, TargetOutOfRange)
 from chordkit.features import FeatureMatrix
 from chordkit.model import (N_ROOT_CLASSES, TrainConfig, _column_moments, _forward_raw,
-                            class_weights, cosine_lr, dataset_frame_ids, evaluate,
-                            expected_counts, fit_rows, forward, init_params,
-                            load_checkpoint, load_posteriors, loss_and_grads,
-                            pitch_targets, predict_frames, root_targets,
-                            save_checkpoint, save_posteriors, total_loss, train)
-from chordkit.vocab import manifest_hash, transpose_id, vocabulary_26, vocabulary_170
+                            _patch_batches, _window_grad, _window_matmul, class_weights,
+                            cosine_lr, dataset_frame_ids, evaluate, expected_counts,
+                            fit_rows, forward, init_params, load_checkpoint,
+                            load_posteriors, loss_and_grads, pitch_targets,
+                            predict_frames, root_targets, save_checkpoint,
+                            save_posteriors, standardize, total_loss, train)
+from chordkit.vocab import manifest_hash, vocabulary_26, vocabulary_170
 
 V26 = vocabulary_26()
 V170 = vocabulary_170()
@@ -203,6 +206,51 @@ class TestForward:
         preds = predict_frames(params, np.random.default_rng(0).normal(size=(5, 6)))
         assert preds.shape == (5,) and preds.dtype.kind == "i"
 
+    @pytest.mark.parametrize("arch", ["logistic", "hidden"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_class_major_outputs_keep_their_shapes(self, arch, dtype, tmp_path):
+        """The heads are views of one class-major buffer: shapes, dtypes,
+        argmax ids, Viterbi paths and the saved file are those of C-ordered
+        copies."""
+        rng = np.random.default_rng(8)
+        params = init_params(arch, 6, V170, hidden_units=4, context=2, seed=1, scale=0.5)
+        params.weights = {k: v.astype(dtype) for k, v in params.weights.items()}
+        params.mean, params.std = params.mean.astype(dtype), params.std.astype(dtype)
+        data = rng.normal(size=(37, 6)).astype(dtype)
+        outputs = forward(params, data)
+        assert [out.shape for out in outputs] == [(37, V170.size), (37, 14), (37, 12)]
+        assert all(out.dtype == dtype for out in outputs)
+        post = outputs[0]
+        copy = np.ascontiguousarray(post)
+        assert np.array_equal(predict_frames(params, data), np.argmax(copy, axis=1))
+        cfg = DecoderConfig(0.15, V170.size)
+        assert np.array_equal(viterbi_smooth(post, cfg), viterbi_smooth(copy, cfg))
+        save_posteriors(tmp_path / "p.npz", post, manifest_hash(V170), 0.1)
+        loaded, _, _ = load_posteriors(tmp_path / "p.npz", V170)
+        assert loaded.flags.c_contiguous and loaded.tobytes() == copy.tobytes()
+
+
+class TestWindowMemory:
+    """No temporary of the context window grows with (2w + 1) * h per row."""
+
+    @pytest.mark.parametrize("part", ["forward", "gradient"])
+    def test_peak_below_a_quarter_of_the_window_buffer(self, part):
+        n, d, h, w = 2048, 24, 16, 5
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(n, d))
+        W1 = rng.normal(size=((2 * w + 1) * d, h))
+        d_pre, out = rng.normal(size=(n, h)), np.empty((n, h))
+        tracemalloc.start()
+        try:
+            if part == "forward":
+                _window_matmul(x, W1, w, out=out)
+            else:
+                _window_grad(x, d_pre, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * (2 * w + 1) * h * x.itemsize / 4
+
 
 class TestLoss:
     def test_target_out_of_range(self):
@@ -232,6 +280,27 @@ class TestLoss:
         expected = total_loss(sub, y[:3], np.ones(26), 0.5, V26)
         assert half == pytest.approx(expected)
         assert half != pytest.approx(full)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 40), dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pitch_loss_equals_the_two_term_cross_entropy(self, n, dtype, seed):
+        """One log per entry is == to p_t * log(pp) + (1 - p_t) * log(1 - pp)
+        for 0/1 targets, with probabilities at and beyond the clip bounds."""
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, V170.size, size=n)
+        pitch = rng.uniform(size=(n, 12))
+        pitch[rng.uniform(size=(n, 12)) < 0.15] = 0.0
+        pitch[rng.uniform(size=(n, 12)) < 0.15] = 1.0
+        pitch[rng.uniform(size=(n, 12)) < 0.15] = 1e-15
+        pitch = pitch.astype(dtype)
+        # chord and root probabilities of 1 at the targets: their losses are -0.0
+        post = np.eye(V170.size, dtype=dtype)[ids]
+        root = np.eye(14, dtype=dtype)[root_targets(ids, V170)]
+        p_t = pitch_targets(ids, V170)
+        pp = np.clip(pitch.astype(np.float64), 1e-12, 1 - 1e-12)
+        two_term = float(np.mean(-(p_t * np.log(pp) + (1 - p_t) * np.log(1 - pp))))
+        assert total_loss((post, root, pitch), ids, np.ones(V170.size), 0.0, V170) == two_term
 
 
 def _rel_err(a, b):
@@ -436,6 +505,39 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDataset):
             train([], [], TrainConfig(epochs=1), V26)
+
+    @pytest.mark.parametrize("bins", [(216, 200), (200, 216)], ids=["216-200", "200-216"])
+    def test_songs_with_other_bin_counts_rejected(self, bins):
+        (feat, ann), = tiny_dataset(n_songs=1)
+        songs = [(replace(feat, data=np.zeros((feat.n_frames, b), np.float32)), ann)
+                 for b in bins]
+        with pytest.raises(DimensionMismatch, match=f"song 1 has {bins[1]} bins"):
+            train(songs, [], TrainConfig(epochs=1), V26)
+
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    def test_batches_equal_the_standardized_zero_padded_batch(self, shift):
+        """Patches standardized into the batch buffer, padded rows included,
+        are == to standardize() of the zero-padded raw batch."""
+        songs = tiny_dataset(n_songs=5)
+        feat, ann = songs[1]
+        songs[1] = (replace(feat, data=feat.data[:13]), ann)  # shorter than a patch
+        ids = dataset_frame_ids(songs, V26)
+        cfg = TrainConfig(patch_seconds=5.0, batch_size=3, shift_probability=shift)
+        rng = np.random.default_rng(4)
+        params = init_params("logistic", 8, V26)
+        params.weights = {k: v.astype(np.float32) for k, v in params.weights.items()}
+        params.mean = rng.normal(-40.0, 12.0, size=8).astype(np.float32)
+        params.mean[2] = 0.0  # a padded entry is 0 - 0 = +0.0, not -0.0
+        params.std = rng.uniform(0.5, 12.0, size=8).astype(np.float32)
+        # mean 0 and std 1 leave the zero-padded batch as it is
+        raw = replace(params, mean=np.zeros(8, np.float32), std=np.ones(8, np.float32))
+        padded = list(_patch_batches(np.random.default_rng(9), songs, ids, raw, cfg, V26))
+        got = list(_patch_batches(np.random.default_rng(9), songs, ids, params, cfg, V26))
+        assert not padded[0][2].all()
+        for (x0, y0, mask0), (x, y, mask) in zip(padded, got, strict=True):
+            assert np.array_equal(y, y0) and np.array_equal(mask, mask0)
+            assert x.dtype == np.float32
+            assert x.tobytes() == standardize(params, x0).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(lengths=st.lists(st.integers(0, 300), min_size=1, max_size=12).filter(any),

@@ -7,7 +7,7 @@ from chordkit.synthgen import (DEGREE_OFFSETS, DEGREE_QUALITIES, RULE_GRAPH,
                                apply_calibration, calibration_ratios,
                                generate_song, id_distribution,
                                realize_timing, sample_progression)
-from chordkit.vocab import map_label, vocabulary_170
+from chordkit.vocab import vocabulary_170
 
 V = vocabulary_170()
 CFG = ProgressionConfig()

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from chordkit import vocab as vocab_mod
 from chordkit.errors import BadManifest, ChordkitError, IdOutOfRange
 from chordkit.harte import format_chord, parse_chord, transpose_label
 from chordkit.vocab import (get_vocabulary, id_info, id_label, load_manifest,
