@@ -5,6 +5,9 @@ line, sorted by start time. Gaps between labelled segments are filled with
 no-chord segments so that annotations tile [0, duration).
 
 Each time-axis rule is written once, here:
+- two times closer than ``TIME_EPS`` seconds are the same time: a segment
+  may start that much before the previous one ends, and a gap or a tail no
+  longer than that is no gap;
 - a song of d seconds spans ``ceil(d / hop)`` frames (:func:`grid_for`);
 - time t lies in the segment whose half-open [start, end) holds it
   (:func:`segment_index`), and a frame lies where its centre does;
@@ -29,6 +32,7 @@ from .vocab import Vocabulary, map_label
 DEFAULT_SR = 44100
 DEFAULT_HOP_SAMPLES = 4096
 DEFAULT_HOP = DEFAULT_HOP_SAMPLES / DEFAULT_SR
+TIME_EPS = 1e-9  # seconds within which two times count as one
 
 
 @dataclass(frozen=True)
@@ -43,10 +47,10 @@ class Annotation:
         for start, end, _ in self.segments:
             if start < 0 or end <= start:
                 raise NonMonotoneTimes(f"bad segment times ({start}, {end})")
-            if start < prev_end - 1e-9:
+            if start < prev_end - TIME_EPS:
                 raise NonMonotoneTimes(f"overlapping segment at {start}")
             prev_end = end
-        if self.segments and self.duration < self.segments[-1][1] - 1e-9:
+        if self.segments and self.duration < self.segments[-1][1] - TIME_EPS:
             raise NonMonotoneTimes("duration shorter than last segment end")
 
 
@@ -63,6 +67,10 @@ class FrameGrid:
 
 def grid_for(duration: float, hop: float = DEFAULT_HOP) -> FrameGrid:
     """The fewest frames of ``hop`` seconds that cover ``duration``."""
+    if not (math.isfinite(hop) and hop > 0):
+        raise ValueError(f"hop {hop} is not a positive number")
+    if not (math.isfinite(duration) and duration >= 0):
+        raise ValueError(f"duration {duration} is not a finite number >= 0")
     return FrameGrid(hop=hop, n_frames=math.ceil(duration / hop))
 
 
@@ -77,13 +85,13 @@ def fill_gaps(segments, duration=None) -> Annotation:
     filled = []
     cursor = 0.0
     for start, end, label in segments:
-        if start > cursor + 1e-9:
+        if start > cursor + TIME_EPS:
             filled.append((cursor, start, harte.NO_CHORD))
         filled.append((start, end, label))
         cursor = end
     if duration is None:
         duration = cursor
-    elif duration > cursor + 1e-9:
+    elif duration > cursor + TIME_EPS:
         filled.append((cursor, duration, harte.NO_CHORD))
     elif duration < cursor:
         # annotation files carry microsecond precision, so a stated duration
@@ -128,7 +136,9 @@ def load_annotation(path, duration=None) -> Annotation:
         if len(parts) != 3:
             raise MalformedLine(line_no, f"expected 3 tab-separated fields, got {len(parts)}")
         start, end = parse_time(parts[0], line_no), parse_time(parts[1], line_no)
-        if end <= start or start < 0:
+        if start < 0:
+            raise NonMonotoneTimes(f"line {line_no}: start {start} is negative")
+        if end <= start:
             raise NonMonotoneTimes(f"line {line_no}: end {end} <= start {start}")
         try:
             label = harte.parse_chord(parts[2].strip())
@@ -184,7 +194,7 @@ def interval_labels(ann: Annotation, intervals, vocab: Vocabulary) -> np.ndarray
     first = np.sort(np.unique(cell, return_index=True)[1])
     covered = np.bincount(row[first], overlap[row[first], cid[first]], minlength=len(bounds))
     uncovered = (bounds[:, 1] - bounds[:, 0]) - covered
-    overlap[:, vocab.n_id] += np.where(uncovered > 1e-9, uncovered, 0.0)
+    overlap[:, vocab.n_id] += np.where(uncovered > TIME_EPS, uncovered, 0.0)
     return np.argmax(overlap, axis=1)
 
 
@@ -197,9 +207,9 @@ def feature_derivative_signal(data: np.ndarray) -> np.ndarray:
 
 
 def _standardize(signal: np.ndarray) -> np.ndarray:
-    std = signal.std()
+    std = signal.std() if signal.size else 0.0
     if std == 0:
-        raise DegenerateSignal("signal has zero variance")
+        raise DegenerateSignal("signal is empty or has zero variance")
     return (signal - signal.mean()) / std
 
 
@@ -213,7 +223,8 @@ def alignment_lag(feat, ann: Annotation, window_frames: int = 50) -> int:
     dot product is divided by the frame count, not by its overlap, so a
     long lag with a short overlap does not outscore the true one. Positive
     lag means the features change after the annotations. Ties are broken
-    toward the smallest absolute lag.
+    toward the smallest absolute lag. Only lags shorter than the song are
+    tried, whatever ``window_frames`` allows.
     """
     if window_frames <= 0:
         raise ValueError("window_frames must be positive")
@@ -222,16 +233,13 @@ def alignment_lag(feat, ann: Annotation, window_frames: int = 50) -> int:
     changes = _standardize((np.diff(segment, prepend=segment[:1]) != 0).astype(np.float64))
 
     n = len(deriv)
+    window_frames = min(window_frames, n - 1)
     best_lag, best_score = 0, -np.inf
     lags = sorted(range(-window_frames, window_frames + 1), key=lambda l: (abs(l), l))
     for lag in lags:
         # corr(lag) = sum_i deriv[i] * changes[i - lag] over the overlap
-        if lag >= 0:
-            a, b = deriv[lag:], changes[: n - lag]
-        else:
-            a, b = deriv[: n + lag], changes[-lag:]
-        if len(a) == 0:
-            continue
+        a = deriv[max(lag, 0):n + min(lag, 0)]
+        b = changes[max(-lag, 0):n - max(lag, 0)]
         score = float(np.dot(a, b)) / n
         if score > best_score:
             best_score, best_lag = score, lag

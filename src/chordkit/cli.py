@@ -20,13 +20,19 @@ import numpy as np
 
 from . import __version__, annotate, decode, features, metrics, model, synthgen
 from .errors import ChordkitError
-from .harte import format_chord
 from .metrics import MetricKind
 from .vocab import get_vocabulary, id_label
 
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _out_dir(args: argparse.Namespace) -> Path:
+    """The --out directory, created with its parents if missing."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
@@ -40,7 +46,6 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
         "inputs": sorted(inputs),
         "outputs": sorted(outputs),
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "run_manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
@@ -86,16 +91,14 @@ def _label_path(ids, hop: float, intervals=None) -> metrics.TimedPath:
 
 
 def _write_labels(path: metrics.TimedPath, vocab, out: Path) -> None:
-    with open(out, "w", encoding="utf-8") as fh:
-        for start, end, chord_id in path.intervals:
-            fh.write(f"{start:.6f}\t{end:.6f}\t{format_chord(id_label(chord_id, vocab))}\n")
+    segments = tuple((start, end, id_label(cid, vocab)) for start, end, cid in path.intervals)
+    annotate.save_annotation(annotate.Annotation(segments, path.duration), out)
 
 
 # --- subcommands ---
 
 def cmd_synth(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     cfg = synthgen.ProgressionConfig(duration=args.duration)
     songs, outputs = [], []
     for i in range(args.n):
@@ -139,8 +142,7 @@ def cmd_train(args) -> int:
         structured_gamma=args.gamma, seed=args.seed)
     params, history = model.train(train_set, val_set, cfg, vocab,
                                   arch=args.arch, **sizes)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     model.save_checkpoint(params, out_dir / "model.npz")
     with open(out_dir / "history.jsonl", "w", encoding="utf-8") as fh:
         for record in history:
@@ -165,7 +167,7 @@ def cmd_predict(args) -> int:
         raise ChordkitError(f"--beat-division {division} requires --beat-file")
     vocab = get_vocabulary(args.vocab)
     params = model.load_checkpoint(args.model)
-    model.check_vocabulary(params, vocab)
+    model.check_vocabulary("model", params.n_classes, params.vocab_hash, vocab)
     feat = features.load_features(args.features)
     duration = feat.n_frames * feat.hop
     intervals = None
@@ -180,8 +182,7 @@ def cmd_predict(args) -> int:
         intervals = beats.intervals
     post, _, _ = model.forward(params, feat)
     ids = np.argmax(post, axis=1)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     _write_labels(_label_path(ids, feat.hop, intervals), vocab, out_dir / "labels.tsv")
     model.save_posteriors(out_dir / "posteriors.npz", post, params.vocab_hash,
                           feat.hop, intervals)
@@ -197,8 +198,7 @@ def cmd_smooth(args) -> int:
     cfg = decode.DecoderConfig(beta=args.beta, n_classes=post.shape[1],
                                mode="max_marginal" if args.max_marginal else "viterbi")
     ids = decode.viterbi_smooth(post, cfg)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     _write_labels(_label_path(ids, hop, intervals), vocab, out_dir / "labels.tsv")
     _write_manifest(out_dir, "smooth", args, [args.post], ["labels.tsv"])
     _log(f"smoothed {post.shape[0]} rows (beta={args.beta}) -> {out_dir}")
@@ -247,8 +247,7 @@ def cmd_report(args) -> int:
         row["transitions_ref"] = decode.count_transitions(ref_ids)
         per_song.append(row)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
 
     with open(out_dir / "per_song.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(per_song[0]))
@@ -296,8 +295,7 @@ def cmd_augment(args) -> int:
     ann = annotate.load_annotation(args.ann)
     shifted = features.pitch_shift_cqt(feat, args.shift)
     transposed = annotate.transpose_annotation(ann, args.shift)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     stem = Path(args.features).stem + f"_shift{args.shift:+d}"
     features.save_features(shifted, out_dir / f"{stem}.cqtf")
     annotate.save_annotation(transposed, out_dir / f"{stem}.tsv")
@@ -308,8 +306,7 @@ def cmd_augment(args) -> int:
 
 
 def cmd_check_align(args) -> int:
-    feat = features.load_features(args.features)
-    ann = annotate.load_annotation(args.ann, duration=feat.n_frames * feat.hop)
+    [(feat, ann)] = _load_pairs([(args.features, args.ann)])
     lag = annotate.alignment_lag(feat, ann, window_frames=args.window)
     print(lag)
     return 0

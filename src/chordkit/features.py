@@ -22,9 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import harte
-from .annotate import Annotation, FrameGrid, parse_time, read_lines, segment_index
-from .errors import (BadBinConfig, BadHeader, BadMagic, EmptyBeatList, NonFiniteFeatures,
-                     TruncatedPayload, VersionMismatch)
+from .annotate import TIME_EPS, Annotation, FrameGrid, parse_time, read_lines, segment_index
+from .errors import (BadBinConfig, BadHeader, BadMagic, EmptyBeatList, MalformedLine,
+                     NonFiniteFeatures, TruncatedPayload, VersionMismatch)
 
 MAGIC = b"CQTF"
 VERSION = 1
@@ -122,6 +122,10 @@ class RenderParams:
     noise_db: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.noise_db) and self.noise_db >= 0):
+            raise ValueError(f"noise_db {self.noise_db} is not a finite number >= 0")
+
 
 def render_synthetic_cqt(ann: Annotation, grid: FrameGrid,
                          params: RenderParams = RenderParams()) -> FeatureMatrix:
@@ -161,12 +165,10 @@ def pitch_shift_cqt(feat: FeatureMatrix, k: int) -> FeatureMatrix:
         raise ValueError(f"|k| must be <= 11, got {k}")
     shift = k * (feat.bins_per_octave // 12)
     out = np.full_like(feat.data, feat.floor_db)
-    if shift == 0:
-        out[:] = feat.data
-    elif shift > 0:
-        out[:, shift:] = feat.data[:, :-shift]
-    else:
-        out[:, :shift] = feat.data[:, -shift:]
+    # bins lo..hi-1 take bins lo-shift..hi-shift-1; none when |shift| >= n_bins
+    lo = max(shift, 0)
+    hi = max(lo, min(feat.n_bins, feat.n_bins + shift))
+    out[:, lo:hi] = feat.data[:, lo - shift:hi - shift]
     return replace(feat, data=out)
 
 
@@ -180,21 +182,27 @@ class BeatIntervals:
         if not self.intervals:
             raise EmptyBeatList("no beat intervals")
         if not is_time_axis(self.intervals):
-            raise EmptyBeatList("intervals are not finite, increasing and contiguous")
+            raise EmptyBeatList("intervals are not finite, from 0 on, increasing and contiguous")
 
 
 def is_time_axis(intervals) -> bool:
-    """True when every (start, end) time is finite, each end is greater than
-    its start and each start lies within 1e-9 s of the previous end."""
+    """True when every (start, end) time is finite, the first start is >= 0,
+    each end is greater than its start and each start lies within
+    ``TIME_EPS`` of the previous end."""
     times = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
-    return bool(np.isfinite(times).all() and (times[:, 1] > times[:, 0]).all()
-                and (np.abs(times[1:, 0] - times[:-1, 1]) <= 1e-9).all())
+    return bool(np.isfinite(times).all() and (times[:1, 0] >= 0).all()
+                and (times[:, 1] > times[:, 0]).all()
+                and (np.abs(times[1:, 0] - times[:-1, 1]) <= TIME_EPS).all())
 
 
 def load_beats(path) -> list[float]:
-    """Beat times, one finite float per line, strictly increasing."""
-    times = [parse_time(line.strip(), line_no)
-             for line_no, line in enumerate(read_lines(path), start=1) if line.strip()]
+    """Beat times, one finite float >= 0 per line, strictly increasing."""
+    times = []
+    for line_no, line in enumerate(read_lines(path), start=1):
+        if line.strip():
+            times.append(parse_time(line.strip(), line_no))
+            if times[-1] < 0:
+                raise MalformedLine(line_no, f"beat time {times[-1]} is negative")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise EmptyBeatList("beat times not strictly increasing")
     return times
@@ -214,7 +222,7 @@ def beat_intervals(beats: list[float], division: str = "1",
     edges = list(beats)
     if edges[0] > 0:
         edges = [0.0] + edges
-    if duration is not None and duration > edges[-1] + 1e-9:
+    if duration is not None and duration > edges[-1] + TIME_EPS:
         edges.append(duration)
 
     base = list(zip(edges, edges[1:]))

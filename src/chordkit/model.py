@@ -79,6 +79,7 @@ N_AUX = N_ROOT_CLASSES + N_PITCH_CLASSES  # root and pitch-class logits
 SHIFT_CHOICES = (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6)
 COUNT_GUARD = 10.0
 VALIDATE_EVERY = 5  # epochs between validation passes; the last epoch always validates
+DEFAULT_HIDDEN_UNITS, DEFAULT_CONTEXT = 64, 5  # the hidden architecture's sizes
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -140,8 +141,9 @@ class ModelParams:
         raise ValueError(f"unknown architecture {self.arch!r}")
 
 
-def init_params(arch: str, n_bins: int, vocab: Vocabulary, hidden_units: int = 64,
-                context: int = 5, seed: int = 0, scale: float = 0.01) -> ModelParams:
+def init_params(arch: str, n_bins: int, vocab: Vocabulary,
+                hidden_units: int = DEFAULT_HIDDEN_UNITS, context: int = DEFAULT_CONTEXT,
+                seed: int = 0, scale: float = 0.01) -> ModelParams:
     rng = np.random.default_rng(seed)
     C = vocab.size
     params = ModelParams(arch=arch, n_bins=n_bins, n_classes=C,
@@ -570,7 +572,7 @@ def _fit(params: ModelParams, epoch_batches, weights: np.ndarray, cfg: TrainConf
 
 
 def train(dataset, val, cfg: TrainConfig, vocab: Vocabulary, arch: str = "logistic",
-          hidden_units: int = 64, context: int = 5):
+          hidden_units: int = DEFAULT_HIDDEN_UNITS, context: int = DEFAULT_CONTEXT):
     """Train a frame-wise classifier; returns (best_params, history).
 
     Each epoch samples one patch of cfg.patch_seconds per training song and
@@ -598,7 +600,7 @@ def train(dataset, val, cfg: TrainConfig, vocab: Vocabulary, arch: str = "logist
 
 
 def fit_rows(rows: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
-             vocab: Vocabulary, arch: str = "logistic", hidden_units: int = 64):
+             vocab: Vocabulary, arch: str = "logistic", hidden_units: int = DEFAULT_HIDDEN_UNITS):
     """Train directly on feature rows (e.g. beat-pooled vectors).
 
     Skips patch sampling and augmentation; one pass over shuffled rows per
@@ -733,21 +735,17 @@ def load_posteriors(path, vocab: Vocabulary):
     """(posteriors, hop, intervals or None) saved by :func:`save_posteriors`.
 
     Raises VocabularyMismatch when the vocabulary hash or the column count
-    differs from ``vocab``, and BadPosteriors for anything else that is not
-    a posteriorgram on a valid time grid.
+    differs from ``vocab`` (:func:`check_vocabulary`), and BadPosteriors for
+    anything else that is not a 2-D posteriorgram on a valid time grid.
     """
     arrays, meta = _read_archive(path, BadPosteriors)
     try:
         post, hop, vocab_hash = arrays["posteriors"], meta["hop"], meta["vocab_hash"]
     except KeyError as exc:
         raise BadPosteriors(f"{path}: missing {exc}") from None
-    if post.ndim != 2 or post.shape[1] != vocab.size:
-        raise VocabularyMismatch(
-            f"posteriors have shape {post.shape}; expected {vocab.size} columns")
-    expected = vocab_mod.manifest_hash(vocab)
-    if vocab_hash != expected:
-        raise VocabularyMismatch(f"posteriors belong to vocabulary {str(vocab_hash)[:12]}; "
-                                 f"expected {expected[:12]}")
+    if post.ndim != 2:
+        raise BadPosteriors(f"{path}: posteriors of shape {post.shape} are not 2-D")
+    check_vocabulary("posteriors", post.shape[1], vocab_hash, vocab)
     if post.dtype.kind != "f" or not np.isfinite(post).all():
         raise BadPosteriors(f"{path}: posteriors are not finite floats")
     if not isinstance(hop, (int, float)) or not math.isfinite(hop) or hop <= 0:
@@ -758,14 +756,15 @@ def load_posteriors(path, vocab: Vocabulary):
         raise BadPosteriors(f"{path}: intervals of shape {intervals.shape} "
                             f"do not match {len(post)} rows")
     if intervals is not None and not is_time_axis(intervals):
-        raise BadPosteriors(f"{path}: row intervals are not finite, increasing and contiguous")
+        raise BadPosteriors(f"{path}: row intervals are not finite, from 0 on, "
+                            f"increasing and contiguous")
     return post, float(hop), intervals
 
 
-def check_vocabulary(params: ModelParams, vocab: Vocabulary) -> None:
-    """Raise VocabularyMismatch unless ``params`` were trained on ``vocab``."""
+def check_vocabulary(what: str, n_classes: int, vocab_hash, vocab: Vocabulary) -> None:
+    """Raise VocabularyMismatch unless ``what`` has ``vocab``'s class count and hash."""
     expected = vocab_mod.manifest_hash(vocab)
-    if params.n_classes != vocab.size or params.vocab_hash != expected:
+    if n_classes != vocab.size or vocab_hash != expected:
         raise VocabularyMismatch(
-            f"model has {params.n_classes} classes (vocabulary {params.vocab_hash[:12] or '?'}); "
+            f"{what} has {n_classes} classes (vocabulary {str(vocab_hash)[:12] or '?'}); "
             f"expected {vocab.size} (vocabulary {expected[:12]})")

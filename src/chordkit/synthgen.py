@@ -13,11 +13,12 @@ root-invariant, and applies the log ratio to chord logits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .annotate import Annotation
+from .annotate import TIME_EPS, Annotation
 from .errors import MissingQuality
 from .harte import ChordKind, ChordLabel
 from .vocab import Vocabulary, check_ids
@@ -72,6 +73,10 @@ DEGREE_QUALITIES = {
 class ProgressionConfig:
     duration: float = 30.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(f"duration {self.duration} is not a positive number")
+
 
 def _choose(rng: np.random.Generator, options) -> str:
     names = [name for name, _ in options]
@@ -110,7 +115,7 @@ def realize_timing(chords: list[ChordLabel], cfg: ProgressionConfig,
     bar = BARS_PER_CHORD * BEATS_PER_BAR * 60.0 / bpm
     segments = []
     t, i = 0.0, 0
-    while t < cfg.duration - 1e-9:
+    while t < cfg.duration - TIME_EPS:
         end = min(t + bar, cfg.duration)
         segments.append((t, end, chords[i % len(chords)]))
         t = end

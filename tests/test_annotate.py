@@ -46,6 +46,13 @@ class TestFrameCount:
     def test_one_rule_with_grid_for(self, duration):
         assert n_frames_for(duration) == grid_for(duration).n_frames
 
+    @pytest.mark.parametrize("duration, hop", [
+        (1.0, 0.0), (1.0, -0.1), (1.0, math.inf), (1.0, math.nan),
+        (-5.0, DEFAULT_HOP), (math.inf, DEFAULT_HOP), (math.nan, DEFAULT_HOP)])
+    def test_grid_rejects_a_bad_hop_or_duration(self, duration, hop):
+        with pytest.raises(ValueError):
+            grid_for(duration, hop)
+
     @given(st.floats(0.01, 600.0))
     def test_grid_covers_duration(self, duration):
         grid = grid_for(duration)
@@ -116,6 +123,12 @@ class TestFileIO:
         path = tmp_path / "bad.tsv"
         path.write_text("1.0\t0.5\tC:maj\n", encoding="utf-8")
         with pytest.raises(NonMonotoneTimes):
+            load_annotation(path)
+
+    def test_negative_start_named_as_such(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("-1.0\t0.5\tC:maj\n0.5\t1.0\tG:maj\n", encoding="utf-8")
+        with pytest.raises(NonMonotoneTimes, match=r"^line 1: start -1.0 is negative$"):
             load_annotation(path)
 
     @pytest.mark.parametrize("start, end", [("1.0", "nan"), ("1.0", "inf"), ("nan", "2.0"),
@@ -264,9 +277,27 @@ class TestAlignment:
             delayed = np.concatenate([held, feat.data[:feat.n_frames - delay]])
             assert alignment_lag(replace(feat, data=delayed), ann) == delay, seed
 
+    def test_window_past_the_song_tries_every_lag_shorter_than_it(self):
+        # 33 frames allow lags up to 32 either way; a wider window, which
+        # once built lags with no overlap and failed, reads as window 32
+        hop = DEFAULT_HOP
+        ann = make_ann([(0.0, 7 * hop, "C:maj"), (7 * hop, 19 * hop, "A:min"),
+                        (19 * hop, 26 * hop, "F:maj"), (26 * hop, 33 * hop, "G:7")])
+        rng = np.random.default_rng(3)
+        feat = type("F", (), {"data": rng.normal(size=(33, 8)), "hop": hop})()
+        want = alignment_lag(feat, ann, window_frames=32)
+        for window in (33, 34, 35, 50, 10_000):
+            assert alignment_lag(feat, ann, window_frames=window) == want, window
+
     def test_degenerate_signal_raises(self):
         ann = make_ann([(0.0, 1.0, "C:maj")])
         data = np.ones((20, 3))
         feat = type("F", (), {"data": data, "hop": DEFAULT_HOP})()
         with pytest.raises(DegenerateSignal):
             alignment_lag(feat, ann)
+
+    def test_song_without_frames_raises(self):
+        # once read as lag 0, after numpy warnings about the empty mean
+        feat = type("F", (), {"data": np.ones((0, 3)), "hop": DEFAULT_HOP})()
+        with pytest.raises(DegenerateSignal):
+            alignment_lag(feat, make_ann([]))

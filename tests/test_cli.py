@@ -351,7 +351,8 @@ class TestLoaderFailures:
         assert run(["smooth", "--post", path, "--out", tmp_path / "s"]) == 1
         assert _one_json_error(capsys)["error"] == "BadPosteriors"
 
-    @pytest.mark.parametrize("damage", ["nan", "reversed", "zero-length", "gap"])
+    @pytest.mark.parametrize("damage", ["nan", "reversed", "zero-length", "gap",
+                                        "before-zero"])
     def test_smooth_rejects_intervals_off_a_time_axis(self, dataset, trained, tmp_path,
                                                       capsys, damage):
         beats = tmp_path / "beats.txt"
@@ -368,6 +369,8 @@ class TestLoaderFailures:
             times = times[::-1]
         elif damage == "zero-length":
             times[3, 1] = times[4, 0] = times[3, 0]
+        elif damage == "before-zero":
+            times[0, 0] = -1.0
         else:
             times[5:] += 0.25
         arrays["intervals"] = times
@@ -400,6 +403,26 @@ class TestLoaderFailures:
         assert err["error"] == "MalformedLine" and err["message"].startswith("line 3:")
         assert issubclass(getattr(errors, err["error"]), errors.ChordkitError)
         assert not (tmp_path / "pred" / "labels.tsv").exists()
+
+    def test_predict_rejects_negative_beat_time(self, dataset, trained, tmp_path, capsys):
+        beats = tmp_path / "beats.txt"
+        beats.write_text("-1.0\n0.5\n1.0\n2.0\n")
+        capsys.readouterr()
+        assert run(["predict", "--model", trained / "model.npz",
+                    "--features", dataset / "song_0000.cqtf", "--beat-file", beats,
+                    "--out", tmp_path / "pred"]) == 1
+        err = _one_json_error(capsys)
+        assert err["error"] == "MalformedLine" and err["message"].startswith("line 1:")
+        assert not (tmp_path / "pred" / "labels.tsv").exists()
+
+    def test_eval_names_a_negative_start(self, dataset, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("-1.0\t0.5\tC:maj\n0.5\t1.0\tG:maj\n")
+        capsys.readouterr()
+        assert run(["eval", "--ref", dataset / "song_0000.tsv", "--est", bad]) == 1
+        err = _one_json_error(capsys)
+        assert err == {"error": "NonMonotoneTimes",
+                       "message": "line 1: start -1.0 is negative"}
 
     @pytest.mark.parametrize("tail", [b"1.0\tnan\tG:maj\n", b"1.0\tinf\tG:maj\n",
                                       b"1.0\t2.0\tG:\xe9\n"])
@@ -531,6 +554,14 @@ class TestCheckAlign:
                     "--ann", tsv]) == 0
         assert capsys.readouterr().out.strip() == "4"
 
+    def test_song_shorter_than_the_window(self, tmp_path, capsys):
+        # 3 s is 33 frames, fewer than the default window of 50 lags
+        assert run(["synth", "--n", 1, "--duration", 3, "--out", tmp_path]) == 0
+        capsys.readouterr()
+        assert run(["check-align", "--features", tmp_path / "song_0000.cqtf",
+                    "--ann", tmp_path / "song_0000.tsv"]) == 0
+        assert capsys.readouterr().out.strip() == "0"
+
 
 class TestArgErrors:
     def test_unknown_subcommand_exits_two(self):
@@ -555,6 +586,21 @@ class TestArgErrors:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--hop", "0"], ["synth", "--hop", "-1"], ["synth", "--hop", "nan"],
+        ["synth", "--noise", "inf"], ["synth", "--noise", "-1"], ["synth", "--noise", "nan"],
+        ["synth", "--duration", "0"], ["synth", "--duration", "-5"],
+        ["report", "--hop", "0"], ["report", "--hop", "-0.1"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_number_the_command_cannot_use_exits_one(self, dataset, tmp_path, capsys, argv):
+        # a flag given twice takes its last value
+        more = (["--n", 1, "--duration", 2] if argv[0] == "synth"
+                else ["--ref-dir", dataset, "--est-dir", dataset])
+        capsys.readouterr()
+        assert run([argv[0], *more, *argv[1:], "--out", tmp_path / "out"]) == 1
+        assert _one_json_error(capsys)["error"] == "ValueError"
+        assert not list((tmp_path / "out").glob("*"))
 
     def test_missing_file_exits_one(self, capsys):
         assert run(["eval", "--ref", "/nonexistent/a.tsv",

@@ -12,7 +12,7 @@ from chordkit.errors import (BadBinConfig, BadHeader, BadMagic, ChordkitError,
 from chordkit.features import (DEFAULT_BINS_PER_OCTAVE, DEFAULT_FLOOR_DB, DEFAULT_N_BINS,
                                BeatIntervals, FeatureMatrix, RenderParams,
                                beat_intervals, beat_pool, bin_pitch_classes,
-                               load_beats, load_features, perfect_intervals,
+                               is_time_axis, load_beats, load_features, perfect_intervals,
                                pitch_shift_cqt, render_synthetic_cqt,
                                save_features)
 from chordkit.harte import NO_CHORD, parse_chord
@@ -28,6 +28,19 @@ def reference_label_at(ann, t):
         if start <= t < end:
             return label
     return NO_CHORD
+
+
+def reference_pitch_shift(feat, k):
+    """pitch_shift_cqt as three branches, one per sign of the bin shift."""
+    shift = k * (feat.bins_per_octave // 12)
+    out = np.full_like(feat.data, feat.floor_db)
+    if shift == 0:
+        out[:] = feat.data
+    elif shift > 0:
+        out[:, shift:] = feat.data[:, :-shift]
+    else:
+        out[:, :shift] = feat.data[:, -shift:]
+    return out
 
 
 def make_feat(data, hop=DEFAULT_HOP, bpo=36):
@@ -204,6 +217,11 @@ class TestRenderer:
         assert not np.array_equal(a.data, c.data)
         assert (a.data >= a.floor_db).all()
 
+    @pytest.mark.parametrize("noise_db", [-1.0, math.inf, math.nan])
+    def test_noise_level_must_be_finite_and_not_negative(self, noise_db):
+        with pytest.raises(ValueError, match="noise_db"):
+            RenderParams(noise_db=noise_db)
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), noise=st.sampled_from([0.0, 4.0]))
     def test_matches_per_frame_reference(self, seed, noise):
@@ -268,6 +286,20 @@ class TestPitchShift:
         with pytest.raises(ValueError):
             pitch_shift_cqt(feat, 12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bpo", [12, 24, 36, 48])
+    def test_one_slice_equals_the_three_branches(self, bpo, dtype):
+        # every bin count from 1 to 216, so shifts of the bin count or more
+        # (only the floor is left) are covered too
+        rng = np.random.default_rng(bpo)
+        for n_bins in range(1, 217):
+            feat = FeatureMatrix(data=rng.normal(size=(3, n_bins)).astype(dtype),
+                                 hop=DEFAULT_HOP, bins_per_octave=bpo)
+            for k in range(-11, 12):
+                got = pitch_shift_cqt(feat, k).data
+                want = reference_pitch_shift(feat, k)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n_bins, k)
+
 
 class TestBeatIntervals:
     def test_load_beats(self, tmp_path):
@@ -289,11 +321,25 @@ class TestBeatIntervals:
             load_beats(path)
         assert exc.value.line_no == 4
 
+    @pytest.mark.parametrize("text, line_no", [("-1.0\n0.5\n", 1), ("\n0.5\n-0.25\n", 3)])
+    def test_load_rejects_negative_time_with_number(self, tmp_path, text, line_no):
+        path = tmp_path / "beats.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedLine, match="negative") as exc:
+            load_beats(path)
+        assert exc.value.line_no == line_no
+
+    def test_intervals_start_at_zero_or_later(self):
+        assert is_time_axis([(0.0, 0.5), (0.5, 1.0)])
+        assert not is_time_axis([(-1.0, 0.5), (0.5, 1.0)])
+        with pytest.raises(EmptyBeatList):
+            BeatIntervals(intervals=((-1.0, 0.5), (0.5, 1.0)))
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(cut=st.one_of(st.none(), st.integers(0, 64)), flip=st.integers(0, 8 * 64))
     def test_truncated_or_flipped_file(self, tmp_path, cut, flip):
-        """Any damage ends in finite, increasing beat times or a ChordkitError."""
+        """Any damage ends in finite, non-negative, increasing beat times or a ChordkitError."""
         path = tmp_path / "beats.txt"
         path.write_text("0.250000\n0.731500\n1.210000\n1.702250\n2.190000\n",
                         encoding="utf-8")
@@ -307,7 +353,7 @@ class TestBeatIntervals:
             beats = load_beats(path)
         except ChordkitError:
             return
-        assert all(math.isfinite(b) for b in beats)
+        assert all(math.isfinite(b) and b >= 0 for b in beats)
         assert all(a < b for a, b in zip(beats, beats[1:]))
 
     def test_division_one_prepends_head(self):

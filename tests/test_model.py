@@ -8,8 +8,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chordkit.annotate import transpose_annotation
 from chordkit.decode import DecoderConfig, viterbi_smooth
-from chordkit.errors import (AllZeroCounts, BadCheckpoint, ChordkitError, DimensionMismatch,
-                             EmptyDataset, NonFiniteLoss, TargetOutOfRange)
+from chordkit.errors import (AllZeroCounts, BadCheckpoint, BadPosteriors, ChordkitError,
+                             DimensionMismatch, EmptyDataset, NonFiniteLoss, TargetOutOfRange)
 from chordkit.features import FeatureMatrix
 from chordkit.model import (N_ROOT_CLASSES, TrainConfig, _column_moments, _forward_raw,
                             _patch_batches, _window_grad, _window_matmul, class_weights,
@@ -716,6 +716,19 @@ class TestPosteriorsFile:
         loaded, hop, loaded_intervals = load_posteriors(tmp_path / "p.npz", V26)
         assert np.array_equal(loaded, post) and hop == 0.1
         assert np.array_equal(loaded_intervals, np.array(intervals))
+
+    def test_one_dimensional_posteriorgram_is_malformed(self, tmp_path):
+        save_posteriors(tmp_path / "p.npz", np.full(V26.size, 1.0 / V26.size),
+                        manifest_hash(V26), 0.1)
+        with pytest.raises(BadPosteriors, match="not 2-D"):
+            load_posteriors(tmp_path / "p.npz", V26)
+
+    def test_rows_before_time_zero_rejected(self, tmp_path):
+        post = np.full((2, V26.size), 1.0 / V26.size)
+        save_posteriors(tmp_path / "p.npz", post, manifest_hash(V26), 0.1,
+                        ((-1.0, 0.5), (0.5, 1.0)))
+        with pytest.raises(BadPosteriors):
+            load_posteriors(tmp_path / "p.npz", V26)
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,14 @@ class TestRuleGraph:
 
     def test_every_degree_has_offset(self):
         assert set(RULE_GRAPH) == set(DEGREE_OFFSETS)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("duration", [0.0, -5.0, math.inf, math.nan])
+    def test_duration_must_be_positive_and_finite(self, duration):
+        # an infinite duration would loop realize_timing without end
+        with pytest.raises(ValueError, match="duration"):
+            ProgressionConfig(duration=duration)
 
 
 class TestProgression:
