@@ -6,7 +6,7 @@ pitch-shift augmentation of a (features, labels) pair.
 """
 
 from pathlib import Path
-from tempfile import mkdtemp
+from tempfile import TemporaryDirectory
 
 import numpy as np
 
@@ -19,7 +19,11 @@ from chordkit.synthgen import ProgressionConfig, generate_song
 
 
 def main():
-    out = Path(mkdtemp(prefix="chordkit_demo_"))
+    with TemporaryDirectory(prefix="chordkit_demo_") as tmp:
+        show(Path(tmp))
+
+
+def show(out: Path):
     cfg = ProgressionConfig(duration=30.0)
 
     print("Three generated progressions:")

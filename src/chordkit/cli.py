@@ -98,6 +98,8 @@ def _write_labels(path: metrics.TimedPath, vocab, out: Path) -> None:
 # --- subcommands ---
 
 def cmd_synth(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     out_dir = _out_dir(args)
     cfg = synthgen.ProgressionConfig(duration=args.duration)
     songs, outputs = [], []

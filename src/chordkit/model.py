@@ -30,9 +30,16 @@ gradient rows they reach, written in place. Frames past either end of the
 input count as zeros, so no temporary grows with the window's width.
 
 Input standardization is fitted song by song, == to the moments of all
-training rows concatenated. Training batches are standardized in the buffer
-they are laid out in, == to standardizing the zero-padded batch: no
-standardized copy of the training songs is kept.
+training rows concatenated. Training memory does not grow with the batch:
+an epoch's patch draws are made first, and each batch is then laid out
+block by block in one reused buffer of at most ``BLOCK_ROWS`` rows of whole
+patches, each patch pitch-shifted when its block is laid out, standardized
+in place (== to :func:`standardize`) and followed by ``context`` rows of
+0.0. Those rows are the zero padding of every context window at its own
+patch's edges, as :func:`forward` pads a song, so no window reads a
+neighbouring patch and results do not depend on ``BLOCK_ROWS``. One
+function adds up the blocks' loss terms and gradients, each scaled by the
+batch's frame count.
 
 The model computes in its weights' dtype, and inputs are standardized into
 it. :func:`train` and :func:`fit_rows` make the weights in the training
@@ -80,6 +87,7 @@ SHIFT_CHOICES = (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6)
 COUNT_GUARD = 10.0
 VALIDATE_EVERY = 5  # epochs between validation passes; the last epoch always validates
 DEFAULT_HIDDEN_UNITS, DEFAULT_CONTEXT = 64, 5  # the hidden architecture's sizes
+BLOCK_ROWS = 2048  # rows of a training block; a block holds at least one whole patch
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -95,6 +103,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        for name in ("patch_seconds", "learning_rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if not 0 <= self.shift_probability <= 1:
             raise ValueError("shift_probability must lie in [0, 1]")
         if not 0 <= self.structured_gamma <= 1:
@@ -144,6 +160,9 @@ class ModelParams:
 def init_params(arch: str, n_bins: int, vocab: Vocabulary,
                 hidden_units: int = DEFAULT_HIDDEN_UNITS, context: int = DEFAULT_CONTEXT,
                 seed: int = 0, scale: float = 0.01) -> ModelParams:
+    if arch == "hidden" and not (hidden_units >= 1 and context >= 0):
+        raise ValueError(f"the hidden architecture needs hidden_units >= 1 and context >= 0, "
+                         f"got {hidden_units} and {context}")
     rng = np.random.default_rng(seed)
     C = vocab.size
     params = ModelParams(arch=arch, n_bins=n_bins, n_classes=C,
@@ -324,8 +343,10 @@ def _targets(targets, vocab: Vocabulary):
     return targets, root_targets(targets, vocab), pitch_targets(targets, vocab)
 
 
-def _loss(outputs, targets, weights: np.ndarray, gamma: float, idx: np.ndarray) -> float:
-    """Structured, class-weighted loss over the frames ``idx``.
+def _loss(outputs, targets, weights: np.ndarray, gamma: float, idx: np.ndarray,
+          n: int) -> float:
+    """Structured, class-weighted loss terms of the frames ``idx``, divided
+    by n: their mean when n is their count, their share of a batch of n.
 
     The logs are taken in float64 on the gathered entries: in float32,
     ``1 - 1e-12`` rounds to 1 and ``1e-300`` to 0, so a saturated sigmoid or
@@ -336,13 +357,13 @@ def _loss(outputs, targets, weights: np.ndarray, gamma: float, idx: np.ndarray) 
     w_frame = weights[chord_t[idx]]
     p_chord = post[idx, chord_t[idx]].astype(np.float64)
     p_root = root_probs[idx, root_t[idx]].astype(np.float64)
-    l_chord = float(np.mean(-w_frame * np.log(p_chord + eps)))
-    l_root = float(np.mean(-np.log(p_root + eps)))
+    l_chord = float(np.sum(-w_frame * np.log(p_chord + eps)) / n)
+    l_root = float(np.sum(-np.log(p_root + eps)) / n)
     p_t = pitch_t[idx]
     pp = np.clip(pitch_probs[idx].astype(np.float64), 1e-12, 1 - 1e-12)
     # targets are 0 or 1, so one log per entry gives each term of
     # p_t * log(pp) + (1 - p_t) * log(1 - pp): the other term is 0 * finite
-    l_pitch = float(np.mean(-np.log(np.where(p_t > 0, pp, 1 - pp))))
+    l_pitch = float(np.sum(-np.log(np.where(p_t > 0, pp, 1 - pp))) / (n * N_PITCH_CLASSES))
     return gamma * l_chord + (1.0 - gamma) * (l_root + l_pitch)
 
 
@@ -354,33 +375,51 @@ def total_loss(outputs, targets, weights: np.ndarray, gamma: float,
     by :func:`forward`; ``mask`` marks frames included in the loss.
     """
     built = _targets(targets, vocab)
-    if mask is None:
-        mask = np.ones(len(built[0]), dtype=bool)
-    return _loss(outputs, built, weights, gamma, np.flatnonzero(mask))
+    idx = np.arange(len(built[0])) if mask is None else np.flatnonzero(mask)
+    return _loss(outputs, built, weights, gamma, idx, len(idx))
 
 
 def loss_and_grads(params: ModelParams, data: np.ndarray, targets: np.ndarray,
                    weights: np.ndarray, gamma: float, vocab: Vocabulary,
                    mask: np.ndarray | None = None):
     """Loss and analytic parameter gradients for one batch of frames."""
-    return _loss_and_grads(params, standardize(params, data), targets, weights, gamma,
-                           vocab, mask)
+    n = len(targets) if mask is None else int(np.count_nonzero(mask))
+    return _loss_and_grads(params, n, [(standardize(params, data), targets, mask)],
+                           weights, gamma, vocab)
 
 
-def _loss_and_grads(params: ModelParams, x: np.ndarray, targets: np.ndarray,
-                    weights: np.ndarray, gamma: float, vocab: Vocabulary,
-                    mask: np.ndarray | None):
-    """:func:`loss_and_grads` of a batch standardized into ``x``."""
+def _loss_and_grads(params: ModelParams, n: int, blocks, weights: np.ndarray, gamma: float,
+                    vocab: Vocabulary):
+    """Loss and gradients of a batch of n unmasked frames that arrives as
+    ``blocks`` of standardized rows (x, targets, mask; a mask of None keeps
+    every row): each block's loss terms and gradients, scaled by the batch's
+    n, are added up."""
+    if n == 0:
+        raise EmptyDataset("batch contains no unmasked frames")
+    loss, grads = 0.0, {}
+    for x, targets, mask in blocks:
+        block_loss, block_grads = _block_loss_and_grads(params, n, x, targets, weights,
+                                                        gamma, vocab, mask)
+        loss += block_loss
+        if not grads:
+            grads = block_grads
+        else:
+            for key, g in grads.items():
+                g += block_grads[key]
+    return loss, grads
+
+
+def _block_loss_and_grads(params: ModelParams, n: int, x: np.ndarray, targets: np.ndarray,
+                          weights: np.ndarray, gamma: float, vocab: Vocabulary,
+                          mask: np.ndarray | None):
+    """One block's share of :func:`_loss_and_grads` for a batch of n frames."""
     targets, r_t, p_t = built = _targets(targets, vocab)
     if mask is None:
         mask = np.ones(len(targets), dtype=bool)
-    n = int(mask.sum())
-    if n == 0:
-        raise EmptyDataset("batch contains no unmasked frames")
 
     z, cache = _forward_raw(params, x)
     post, root_probs, pitch_probs = _probabilities(z, params.n_classes)
-    loss = _loss((post, root_probs, pitch_probs), built, weights, gamma, np.flatnonzero(mask))
+    loss = _loss((post, root_probs, pitch_probs), built, weights, gamma, np.flatnonzero(mask), n)
 
     # the probabilities become the loss gradients of the logits, in place;
     # a masked frame's row scales to zero
@@ -488,57 +527,73 @@ def _standardized_init(arch: str, blocks: list[np.ndarray], vocab: Vocabulary,
 
 def _patch_batches(rng, dataset, ids_per_song, params: ModelParams, cfg: TrainConfig,
                    vocab: Vocabulary):
-    """One epoch of ``train`` batches: a patch per song, optionally pitch-shifted,
-    zero-padded to the longest in its batch and standardized in the batch's
-    buffer, == to :func:`standardize` of the zero-padded batch; the mask
-    marks the real frames."""
-    n_bins = dataset[0][0].n_bins
+    """One epoch of ``train`` batches as (n, blocks): cfg.batch_size songs'
+    patches, holding n frames, laid out block by block.
+
+    Each song's patch start and optional pitch shift are drawn first, song by
+    song. A block is whole patches in one buffer of BLOCK_ROWS rows (more if
+    one patch needs them), reused by every block, so each (x, targets, mask)
+    is valid until the next is laid out. A patch is pitch-shifted as it is
+    laid out, standardized in place (== to :func:`standardize`) and followed
+    by ``params.context`` rows of 0.0, the zero padding of its frames'
+    context windows; the mask marks the patches' frames."""
     patch_frames = max(1, round(cfg.patch_seconds / dataset[0][0].hop))
-    patches = []
+    patches = []  # (song, frame ids, start, frames, shift)
     for (feat, _), ids in zip(dataset, ids_per_song):
         start = int(rng.integers(0, max(1, feat.n_frames - patch_frames + 1)))
-        x = feat.data[start:start + patch_frames]
-        y = ids[start:start + patch_frames]
+        k = 0
         if cfg.shift_probability > 0 and rng.random() < cfg.shift_probability:
             k = int(SHIFT_CHOICES[rng.integers(0, len(SHIFT_CHOICES))])
-            x = pitch_shift_cqt(replace(feat, data=x), k).data
-            y = vocab.tables.shifted[k % 12, y]
-        patches.append((x, y))
+        patches.append((feat, ids, start, min(patch_frames, feat.n_frames - start), k))
+
+    w = params.context
+    n_rows = max(BLOCK_ROWS, patch_frames + w)
+    xs = np.empty((n_rows, dataset[0][0].n_bins), dtype=params.dtype)
+    ys = np.empty(n_rows, dtype=np.int64)
+    mask = np.empty(n_rows, dtype=bool)
+
+    def blocks(batch):
+        r = 0
+        for feat, ids, start, m, k in batch:
+            if r + m + w > n_rows:
+                yield xs[:r], ys[:r], mask[:r]
+                r = 0
+            x, y = feat.data[start:start + m], ids[start:start + m]
+            if k:
+                x = pitch_shift_cqt(replace(feat, data=x), k).data
+                y = vocab.tables.shifted[k % 12, y]
+            np.subtract(x, params.mean, out=xs[r:r + m])
+            xs[r:r + m] /= params.std
+            xs[r + m:r + m + w] = 0.0
+            ys[r:r + m], ys[r + m:r + m + w] = y, 0
+            mask[r:r + m], mask[r + m:r + m + w] = True, False
+            r += m + w
+        yield xs[:r], ys[:r], mask[:r]
 
     for b in range(0, len(patches), cfg.batch_size):
         batch = patches[b:b + cfg.batch_size]
-        longest = max(x.shape[0] for x, _ in batch)
-        xs = np.empty((len(batch), longest, n_bins), dtype=params.dtype)
-        ys = np.zeros((len(batch), longest), dtype=np.int64)
-        mask = np.zeros((len(batch), longest), dtype=bool)
-        for j, (x, y) in enumerate(batch):
-            m = x.shape[0]
-            np.subtract(x, params.mean, out=xs[j, :m])
-            np.subtract(0.0, params.mean, out=xs[j, m:])  # 0 - mean: a zero mean gives +0.0
-            ys[j, :m] = y
-            mask[j, :m] = True
-        xs /= params.std
-        yield xs.reshape(-1, n_bins), ys.reshape(-1), mask.reshape(-1)
+        yield sum(m for _, _, _, m, _ in batch), blocks(batch)
 
 
 def _row_batches(rng, rows: np.ndarray, targets: np.ndarray, params: ModelParams,
                  batch_size: int):
-    """One epoch of ``fit_rows`` batches: every row once, in shuffled order,
-    standardized."""
+    """One epoch of ``fit_rows`` batches as (n, blocks): every row once, in
+    shuffled order, standardized, one block per batch."""
     order = rng.permutation(len(rows))
     for b in range(0, len(order), batch_size):
         sel = order[b:b + batch_size]
-        yield standardize(params, rows[sel]), targets[sel], None
+        yield len(sel), [(standardize(params, rows[sel]), targets[sel], None)]
 
 
 def _fit(params: ModelParams, epoch_batches, weights: np.ndarray, cfg: TrainConfig,
          vocab: Vocabulary, val=(), val_ids=()):
     """Adam over ``epoch_batches(rng)`` for cfg.epochs epochs with a cosine rate.
 
-    ``epoch_batches`` returns one epoch's (x, targets, mask) batches, x
-    standardized, drawing from the run's one generator, seeded by cfg.seed.
-    With ``val``, validation runs every VALIDATE_EVERY epochs and on the
-    last one, and the parameters of the lowest validation loss are returned.
+    ``epoch_batches`` returns one epoch's batches as (n, blocks), the blocks
+    of standardized rows that :func:`_loss_and_grads` adds up, drawing from
+    the run's one generator, seeded by cfg.seed. With ``val``, validation
+    runs every VALIDATE_EVERY epochs and on the last one, and the parameters
+    of the lowest validation loss are returned.
     """
     rng = np.random.default_rng(cfg.seed)
     adam = _AdamState(m={k: np.zeros_like(v) for k, v in params.weights.items()},
@@ -550,9 +605,8 @@ def _fit(params: ModelParams, epoch_batches, weights: np.ndarray, cfg: TrainConf
     for epoch in range(cfg.epochs):
         lr = cosine_lr(cfg.learning_rate, epoch, cfg.epochs)
         epoch_loss, n_batches = 0.0, 0
-        for x, targets, mask in epoch_batches(rng):
-            loss, grads = _loss_and_grads(params, x, targets, weights, cfg.structured_gamma,
-                                          vocab, mask)
+        for n, blocks in epoch_batches(rng):
+            loss, grads = _loss_and_grads(params, n, blocks, weights, cfg.structured_gamma, vocab)
             if not math.isfinite(loss):
                 raise NonFiniteLoss(epoch)
             _adam_step(params, grads, adam, lr)

@@ -105,6 +105,18 @@ class TestTrain:
         assert error["error"] == "ChordkitError" and flag in error["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--epochs", "0"], ["--epochs", "-2"], ["--patch-seconds", "0"],
+        ["--learning-rate", "-1"], ["--learning-rate", "nan"], ["--batch-size", "0"],
+        ["--arch", "hidden", "--hidden-units", "0"], ["--arch", "hidden", "--context", "-1"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_number_training_cannot_use_exits_one(self, dataset, tmp_path, capsys, argv):
+        out = tmp_path / "m"
+        capsys.readouterr()
+        assert run(["train", "--data", dataset, "--epochs", 1, *argv, "--out", out]) == 1
+        assert _one_json_error(capsys)["error"] == "ValueError"
+        assert not (out / "model.npz").exists()
+
     def test_empty_data_dir_exits_one(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -591,6 +603,7 @@ class TestArgErrors:
         ["synth", "--hop", "0"], ["synth", "--hop", "-1"], ["synth", "--hop", "nan"],
         ["synth", "--noise", "inf"], ["synth", "--noise", "-1"], ["synth", "--noise", "nan"],
         ["synth", "--duration", "0"], ["synth", "--duration", "-5"],
+        ["synth", "--n", "0"], ["synth", "--n", "-1"],
         ["report", "--hop", "0"], ["report", "--hop", "-0.1"],
     ], ids=lambda argv: " ".join(argv))
     def test_number_the_command_cannot_use_exits_one(self, dataset, tmp_path, capsys, argv):

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -6,14 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from chordkit import model as model_mod
 from chordkit.annotate import transpose_annotation
 from chordkit.decode import DecoderConfig, viterbi_smooth
 from chordkit.errors import (AllZeroCounts, BadCheckpoint, BadPosteriors, ChordkitError,
                              DimensionMismatch, EmptyDataset, NonFiniteLoss, TargetOutOfRange)
 from chordkit.features import FeatureMatrix
 from chordkit.model import (N_ROOT_CLASSES, TrainConfig, _column_moments, _forward_raw,
-                            _patch_batches, _window_grad, _window_matmul, class_weights,
-                            cosine_lr, dataset_frame_ids, evaluate, expected_counts,
+                            _loss_and_grads, _patch_batches, _window_grad, _window_matmul,
+                            class_weights, cosine_lr, dataset_frame_ids, evaluate, expected_counts,
                             fit_rows, forward, init_params, load_checkpoint,
                             load_posteriors, loss_and_grads, pitch_targets,
                             predict_frames, root_targets, save_checkpoint,
@@ -460,6 +462,10 @@ class TestOptim:
         assert cosine_lr(0.01, 0, 1) == 0.01
 
 
+def n_real(mask: np.ndarray) -> int:
+    return int(np.count_nonzero(mask))
+
+
 def tiny_dataset(seed=0, n_songs=3, n_frames=40, n_bins=8):
     rng = np.random.default_rng(seed)
     from chordkit.annotate import fill_gaps
@@ -515,29 +521,103 @@ class TestTrain:
             train(songs, [], TrainConfig(epochs=1), V26)
 
     @pytest.mark.parametrize("shift", [0.0, 1.0])
-    def test_batches_equal_the_standardized_zero_padded_batch(self, shift):
-        """Patches standardized into the batch buffer, padded rows included,
-        are == to standardize() of the zero-padded raw batch."""
+    def test_batches_equal_the_standardized_zero_padded_batch(self, shift, monkeypatch):
+        """Patch rows standardized in the block buffer are == to standardize()
+        of the raw, shifted rows; the rows after each patch are +0.0."""
+        monkeypatch.setattr(model_mod, "BLOCK_ROWS", 50)  # two 20 + 2-row patches a block
         songs = tiny_dataset(n_songs=5)
         feat, ann = songs[1]
         songs[1] = (replace(feat, data=feat.data[:13]), ann)  # shorter than a patch
         ids = dataset_frame_ids(songs, V26)
         cfg = TrainConfig(patch_seconds=5.0, batch_size=3, shift_probability=shift)
         rng = np.random.default_rng(4)
-        params = init_params("logistic", 8, V26)
+        params = init_params("hidden", 8, V26, hidden_units=4, context=2)
         params.weights = {k: v.astype(np.float32) for k, v in params.weights.items()}
         params.mean = rng.normal(-40.0, 12.0, size=8).astype(np.float32)
-        params.mean[2] = 0.0  # a padded entry is 0 - 0 = +0.0, not -0.0
         params.std = rng.uniform(0.5, 12.0, size=8).astype(np.float32)
-        # mean 0 and std 1 leave the zero-padded batch as it is
+        # mean 0 and std 1 leave the raw rows as they are
         raw = replace(params, mean=np.zeros(8, np.float32), std=np.ones(8, np.float32))
-        padded = list(_patch_batches(np.random.default_rng(9), songs, ids, raw, cfg, V26))
-        got = list(_patch_batches(np.random.default_rng(9), songs, ids, params, cfg, V26))
-        assert not padded[0][2].all()
-        for (x0, y0, mask0), (x, y, mask) in zip(padded, got, strict=True):
-            assert np.array_equal(y, y0) and np.array_equal(mask, mask0)
-            assert x.dtype == np.float32
-            assert x.tobytes() == standardize(params, x0).tobytes()
+        padded = _patch_batches(np.random.default_rng(9), songs, ids, raw, cfg, V26)
+        got = _patch_batches(np.random.default_rng(9), songs, ids, params, cfg, V26)
+        sizes = []
+        for (n0, blocks0), (n, blocks) in zip(padded, got, strict=True):
+            assert n == n0
+            for (x0, y0, mask0), (x, y, mask) in zip(blocks0, blocks, strict=True):
+                assert np.array_equal(y, y0) and np.array_equal(mask, mask0)
+                assert x.dtype == np.float32
+                assert x[mask].tobytes() == standardize(params, x0[mask]).tobytes()
+                assert x[~mask].tobytes() == np.zeros_like(x[~mask]).tobytes()
+                assert np.array_equal(y[~mask], np.zeros(len(y) - n_real(mask)))
+                sizes.append((n, n_real(mask), len(mask)))
+        # batch 0: patches of 20 and 13 frames, then 20; batch 1: 20 and 20
+        assert sizes == [(53, 33, 37), (53, 20, 22), (40, 40, 44)]
+
+    @pytest.mark.parametrize("arch", ["logistic", "hidden"])
+    def test_blocks_add_up_to_the_whole_batch(self, arch, monkeypatch):
+        """One patch per block or all in one block: the same loss and gradients."""
+        songs = tiny_dataset(n_songs=5)
+        feat, ann = songs[3]
+        songs[3] = (replace(feat, data=feat.data[:13]), ann)
+        ids = dataset_frame_ids(songs, V26)
+        cfg = TrainConfig(patch_seconds=5.0, batch_size=5, shift_probability=0.5)
+        params = init_params(arch, 8, V26, hidden_units=4, context=2, seed=3, scale=0.5)
+        weights = class_weights(np.arange(V26.size, dtype=float), 0.5)
+
+        def batch(block_rows):
+            monkeypatch.setattr(model_mod, "BLOCK_ROWS", block_rows)
+            (n, blocks), = _patch_batches(np.random.default_rng(1), songs, ids, params, cfg, V26)
+            lengths = []
+
+            def counted():
+                for block in blocks:
+                    lengths.append(len(block[0]))
+                    yield block
+            loss, grads = _loss_and_grads(params, n, counted(), weights, 0.6, V26)
+            return len(lengths), loss, grads
+
+        n_one, loss_one, grads_one = batch(1)
+        n_all, loss_all, grads_all = batch(10**6)
+        assert (n_one, n_all) == (5, 1)
+        assert loss_one == pytest.approx(loss_all, rel=1e-12)
+        assert list(grads_one) == list(grads_all)
+        for key, g in grads_all.items():
+            np.testing.assert_allclose(grads_one[key], g, rtol=1e-10,
+                                       atol=1e-12 * np.abs(g).max(), err_msg=key)
+
+    def test_a_patch_window_stops_at_its_own_edges(self):
+        """A hidden patch's logits do not change when only its neighbour does."""
+        songs = tiny_dataset(n_songs=3)
+        feat, ann = songs[1]
+        changed = [songs[0], (replace(feat, data=feat.data + 1.0), ann), songs[2]]
+        ids = dataset_frame_ids(songs, V26)
+        params = init_params("hidden", 8, V26, hidden_units=4, context=2, seed=1, scale=0.5)
+        cfg = TrainConfig(patch_seconds=5.0, batch_size=3)
+        laid_out = []
+        for data in (songs, changed):
+            (_, blocks), = _patch_batches(np.random.default_rng(2), data, ids, params, cfg, V26)
+            (x, _, mask), = blocks
+            laid_out.append((x.copy(), mask.copy(), _forward_raw(params, x)[0].copy()))
+        (x0, mask, z0), (x1, _, z1) = laid_out
+        neighbour = (x0 != x1).any(axis=1)
+        keep = mask & ~neighbour
+        assert (n_real(neighbour), n_real(keep)) == (20, 40)
+        assert np.array_equal(z0[keep], z1[keep])
+
+    def test_epoch_memory_does_not_grow_with_the_batch(self):
+        """Batches stream through one block buffer: the traced peak of an
+        epoch of 128 patches of 300 frames is about the same in batches of
+        8 and of 128 patches."""
+        songs = tiny_dataset(n_songs=128, n_frames=320, n_bins=24)
+        peaks = {}
+        for batch_size in (8, 128):
+            cfg = TrainConfig(epochs=1, batch_size=batch_size, patch_seconds=75.0)
+            tracemalloc.start()
+            try:
+                train(songs, [], cfg, V26)
+                peaks[batch_size] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[128] < 1.2 * peaks[8], peaks
 
     @settings(max_examples=100, deadline=None)
     @given(lengths=st.lists(st.integers(0, 300), min_size=1, max_size=12).filter(any),
@@ -640,10 +720,19 @@ class TestConfig:
         {"shift_probability": 1.5},
         {"structured_gamma": -0.1},
         {"weight_alpha": -1.0},
+        {"epochs": 0}, {"epochs": -2}, {"epochs": 2.5},
+        {"batch_size": 0}, {"batch_size": 8.0},
+        {"patch_seconds": 0.0}, {"patch_seconds": math.inf},
+        {"learning_rate": -1.0}, {"learning_rate": math.nan},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("sizes", [{"hidden_units": 0}, {"context": -1}])
+    def test_hidden_sizes_it_cannot_use_rejected(self, sizes):
+        with pytest.raises(ValueError, match="hidden_units >= 1 and context >= 0"):
+            init_params("hidden", 8, V26, **sizes)
 
 
 class TestCheckpoint:
