@@ -35,20 +35,29 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out_dir
 
 
+def _write_json(path: Path, data) -> None:
+    """JSON with a 2-space indent, sorted keys and a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True, default=str)
+        fh.write("\n")
+
+
+def _write_csv(path: Path, header: list, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
                     inputs: list[str], outputs: list[str], **recorded) -> None:
     """run_manifest.json; ``recorded`` overrides the config values of args."""
     config = {**vars(args), **recorded}
-    manifest = {
+    _write_json(out_dir / "run_manifest.json", {
         "toolkit_version": __version__,
         "command": command,
         "config": {k: v for k, v in sorted(config.items()) if k != "func"},
         "inputs": sorted(inputs),
         "outputs": sorted(outputs),
-    }
-    with open(out_dir / "run_manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    })
 
 
 def _dataset_pairs(data_dir: Path):
@@ -114,10 +123,8 @@ def cmd_synth(args) -> int:
         features.save_features(feat, out_dir / f"{stem}.cqtf")
         songs.append({"name": stem, "seed": seed, "bpm": round(bpm, 6)})
         outputs += [f"{stem}.tsv", f"{stem}.cqtf"]
-    with open(out_dir / "dataset.json", "w", encoding="utf-8") as fh:
-        json.dump({"songs": songs, "noise_db": args.noise, "hop": args.hop},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "dataset.json",
+                {"songs": songs, "noise_db": args.noise, "hop": args.hop})
     _write_manifest(out_dir, "synth", args, [], outputs + ["dataset.json"])
     _log(f"wrote {args.n} synthetic songs to {out_dir}")
     return 0
@@ -250,40 +257,29 @@ def cmd_report(args) -> int:
         per_song.append(row)
 
     out_dir = _out_dir(args)
-
-    with open(out_dir / "per_song.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(per_song[0]))
-        writer.writeheader()
-        writer.writerows(per_song)
+    _write_csv(out_dir / "per_song.csv", list(per_song[0]),
+               [row.values() for row in per_song])
 
     mean_scores = {kind.value: metrics.wcsr(kind, songs, vocab) for kind in MetricKind}
     acc_class, median_class, table = metrics.class_wise_scores(MetricKind.ACC, songs, vocab)
-    report = {
+    _write_json(out_dir / "report.json", {
         "songs": len(songs),
         "wcsr": {k: round(v, 4) for k, v in mean_scores.items()},
         "acc_class": round(acc_class, 4),
         "median_class": round(median_class, 4),
         "per_class": {str(c): round(v, 4) for c, v in table.items()},
-    }
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
     for axis in ("quality", "root"):
         cm = metrics.confusion_matrix(axis, frame_pairs, vocab, row_normalize=True)
         labels = metrics.quality_axis(vocab) if axis == "quality" else metrics.root_axis()
-        with open(out_dir / f"confusion_{axis}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([""] + labels)
-            for label, row in zip(labels, cm):
-                writer.writerow([label] + [f"{v:.6f}" for v in row])
+        _write_csv(out_dir / f"confusion_{axis}.csv", [""] + labels,
+                   ([label] + [f"{v:.6f}" for v in row] for label, row in zip(labels, cm)))
 
     lengths = Counter(length for ref_ids, est_ids in frame_pairs
                       for _, length, _ in decode.incorrect_regions(est_ids, ref_ids))
-    with open(out_dir / "incorrect_region_lengths.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["length", "count"])
-        writer.writerows(sorted(lengths.items()))
+    _write_csv(out_dir / "incorrect_region_lengths.csv", ["length", "count"],
+               sorted(lengths.items()))
 
     _write_manifest(out_dir, "report", args, names,
                     ["per_song.csv", "report.json", "confusion_quality.csv",

@@ -56,6 +56,8 @@ class DecoderConfig:
     mode: str = "viterbi"  # or "max_marginal"
 
     def __post_init__(self):
+        if self.mode not in ("viterbi", "max_marginal"):
+            raise ValueError(f"mode must be 'viterbi' or 'max_marginal', got {self.mode!r}")
         if not 0 < self.beta < 1:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
         if self.n_classes < 2:

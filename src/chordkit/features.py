@@ -214,13 +214,14 @@ def beat_intervals(beats: list[float], division: str = "1",
 
     division "0.25"/"0.5" subdivide each beat interval into 4/2 parts,
     "1" keeps beat intervals, "2" merges pairs of beat intervals. Music
-    before the first beat is covered by a prepended interval, and a
-    trailing interval is appended when duration extends past the last beat.
+    before the first beat is covered by a prepended interval. With a
+    duration, beats after it are dropped and a trailing interval is appended
+    when it extends past the last beat, so the last interval ends there.
     """
     if not beats:
         raise EmptyBeatList("no beats")
-    edges = list(beats)
-    if edges[0] > 0:
+    edges = [b for b in beats if duration is None or b <= duration + TIME_EPS]
+    if not edges or edges[0] > 0:
         edges = [0.0] + edges
     if duration is not None and duration > edges[-1] + TIME_EPS:
         edges.append(duration)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdOutOfRange, LengthMismatch, ZeroDefinedTime
+from .errors import LengthMismatch, ZeroDefinedTime
 from .harte import PITCH_NAMES
 from .vocab import Vocabulary, check_ids, map_label
 
@@ -89,8 +89,7 @@ def adjust_estimate(ref: TimedPath, est: TimedPath, vocab: Vocabulary) -> TimedP
 
 def compare_labels(kind: MetricKind, ref: int, est: int, vocab: Vocabulary) -> Verdict:
     """Compare a reference and estimated chord id under one comparator."""
-    if not (0 <= ref < vocab.size and 0 <= est < vocab.size):
-        raise IdOutOfRange(f"ids ({ref}, {est}) outside [0, {vocab.size})")
+    check_ids((ref, est), vocab)
     return Verdict(int(vocab.tables.verdicts[kind.value][ref, est]))
 
 
@@ -124,12 +123,14 @@ _NO_PIECES = (np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int
 
 def _defined_pieces(kind: MetricKind, songs, vocab: Vocabulary):
     """(duration, ref_id, correct) of every piece where the comparator is
-    defined, all songs in time order."""
+    defined, all songs in time order; raises ZeroDefinedTime if there is none."""
     pieces = (intersect(path_columns(ref), path_columns(est)) for ref, est in songs)
     columns = zip(_NO_PIECES, *pieces)
     dur, ref, est = (np.concatenate(column) for column in columns)
     verdict = vocab.tables.verdicts[kind.value][check_ids(ref, vocab), check_ids(est, vocab)]
     defined = verdict >= 0
+    if not defined.any():
+        raise ZeroDefinedTime("comparator undefined everywhere")
     return dur[defined], ref[defined], verdict[defined] == 1
 
 
@@ -152,10 +153,7 @@ def _accumulate(kind: MetricKind, songs, vocab: Vocabulary):
 def wcsr(kind: MetricKind, songs, vocab: Vocabulary) -> float:
     """Weighted chord symbol recall in percent over a list of song pairs."""
     dur, _, correct = _defined_pieces(kind, songs, vocab)
-    defined = _total(dur)
-    if defined <= 0:
-        raise ZeroDefinedTime("comparator undefined everywhere")
-    return 100.0 * _total(dur[correct]) / defined
+    return 100.0 * _total(dur[correct]) / _total(dur)
 
 
 def class_wise_scores(kind: MetricKind, songs, vocab: Vocabulary):
@@ -164,9 +162,7 @@ def class_wise_scores(kind: MetricKind, songs, vocab: Vocabulary):
     Returns (mean, median, per-class dict); classes with zero defined time
     are excluded.
     """
-    _, defined, per_class = _accumulate(kind, songs, vocab)
-    if defined <= 0:
-        raise ZeroDefinedTime("comparator undefined everywhere")
+    _, _, per_class = _accumulate(kind, songs, vocab)
     table = {c: 100.0 * corr / z for c, (corr, z) in sorted(per_class.items()) if z > 0}
     scores = list(table.values())
     return statistics.mean(scores), statistics.median(scores), table

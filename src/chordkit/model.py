@@ -311,9 +311,9 @@ def _probabilities(z: np.ndarray, n_classes: int):
     return _softmax(chord), _softmax(root), _sigmoid(pitch)
 
 
-def standardize(params: ModelParams, data: np.ndarray) -> np.ndarray:
-    """(data - mean) / std as one new array in the weights' dtype."""
-    x = np.subtract(data, params.mean, dtype=params.dtype)
+def standardize(params: ModelParams, data: np.ndarray, out=None) -> np.ndarray:
+    """(data - mean) / std in the weights' dtype, into ``out`` or one new array."""
+    x = np.subtract(data, params.mean, out=out, dtype=params.dtype)
     x /= params.std
     return x
 
@@ -562,8 +562,7 @@ def _patch_batches(rng, dataset, ids_per_song, params: ModelParams, cfg: TrainCo
             if k:
                 x = pitch_shift_cqt(replace(feat, data=x), k).data
                 y = vocab.tables.shifted[k % 12, y]
-            np.subtract(x, params.mean, out=xs[r:r + m])
-            xs[r:r + m] /= params.std
+            standardize(params, x, out=xs[r:r + m])
             xs[r + m:r + m + w] = 0.0
             ys[r:r + m], ys[r + m:r + m + w] = y, 0
             mask[r:r + m], mask[r + m:r + m + w] = True, False

@@ -3,8 +3,9 @@
 Chord ids follow ``quality_index * 12 + root`` with two trailing sentinels:
 ``C - 2`` for N (no chord) and ``C - 1`` for X (unknown). The large
 vocabulary has 14 qualities (C = 170), the small one major/minor only
-(C = 26), with small-vocabulary mapping defined as a reduction of the large
-one.
+(C = 26). Every vocabulary maps a label by one rule (:func:`map_label`);
+``reduce_to_majmin`` is recorded in the manifest, but mapping does not
+read it.
 
 :attr:`Vocabulary.tables` is the single source of per-class meaning: each
 class's root, pitch classes, maj/min reduction, confusion-axis index and
@@ -44,6 +45,8 @@ class Vocabulary:
 
     qualities: tuple[str, ...]
     templates: tuple[frozenset[int], ...]
+    # Written to the manifest, whose hash every saved 26-class checkpoint and
+    # posteriorgram records; map_label does not read it.
     reduce_to_majmin: bool = False
 
     @property
@@ -110,7 +113,6 @@ def vocabulary_26() -> Vocabulary:
     )
 
 
-_VOCAB_170 = vocabulary_170()
 _VOCAB_26 = vocabulary_26()
 
 
@@ -174,14 +176,13 @@ def _build_tables(vocab: Vocabulary) -> VocabTables:
 
 
 def map_label(label: ChordLabel, vocab: Vocabulary) -> int:
-    """Map any label that parse_chord returns into the vocabulary."""
+    """Map any label that parse_chord returns into the vocabulary: its exact
+    template, else the first of maj, min, dim, aug in the vocabulary that it
+    holds, else X."""
     if label.kind is ChordKind.NO_CHORD:
         return vocab.n_id
     if label.kind is ChordKind.UNKNOWN:
         return vocab.x_id
-
-    if vocab.reduce_to_majmin:
-        return int(_VOCAB_170.tables.majmin[map_label(label, _VOCAB_170)])
 
     relative = harte.relative_pitch_classes(label)
     for index, template in enumerate(vocab.templates):
@@ -195,8 +196,7 @@ def map_label(label: ChordLabel, vocab: Vocabulary) -> int:
 
 def id_info(chord_id: int, vocab: Vocabulary):
     """Inverse of the id scheme: (root, quality) tuple, or 'N'/'X'."""
-    if not 0 <= chord_id < vocab.size:
-        raise IdOutOfRange(f"id {chord_id} outside [0, {vocab.size})")
+    check_ids(chord_id, vocab)
     if chord_id == vocab.n_id:
         return "N"
     if chord_id == vocab.x_id:
@@ -216,17 +216,16 @@ def id_label(chord_id: int, vocab: Vocabulary) -> ChordLabel:
 
 
 def check_ids(ids, vocab: Vocabulary, error: type[Exception] = IdOutOfRange) -> np.ndarray:
-    """``ids`` as an int64 array; raises ``error`` if one lies outside [0, C)."""
+    """``ids`` as an int64 array; raises ``error`` naming the first id outside [0, C)."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= vocab.size):
-        raise error(f"chord id outside [0, {vocab.size})")
+        raise error(f"id {ids[(ids < 0) | (ids >= vocab.size)][0]} outside [0, {vocab.size})")
     return ids
 
 
 def transpose_id(chord_id: int, k: int, vocab: Vocabulary) -> int:
     """Rotate the root by k within the same quality; N/X are fixed points."""
-    if not 0 <= chord_id < vocab.size:
-        raise IdOutOfRange(f"id {chord_id} outside [0, {vocab.size})")
+    check_ids(chord_id, vocab)
     if chord_id >= vocab.n_id:
         return chord_id
     quality_index, root = divmod(chord_id, 12)

@@ -189,6 +189,22 @@ class TestPredictSmoothEval:
         assert float(rows[0][0]) == 0.0
         assert float(rows[-1][1]) == pytest.approx(feat.n_frames * feat.hop, abs=1e-6)
 
+    def test_beats_past_the_song_end_are_dropped(self, dataset, trained, tmp_path):
+        from chordkit.features import load_features
+        feat = load_features(dataset / "song_0000.cqtf")
+        beats = tmp_path / "beats.txt"
+        beats.write_text("0.5\n1\n50\n60\n")
+        pred, smooth = tmp_path / "pred", tmp_path / "smooth"
+        assert run(["predict", "--model", trained / "model.npz",
+                    "--features", dataset / "song_0000.cqtf",
+                    "--beat-file", beats, "--out", pred]) == 0
+        assert run(["smooth", "--post", pred / "posteriors.npz", "--out", smooth]) == 0
+        duration = feat.n_frames * feat.hop
+        for labels in (pred / "labels.tsv", smooth / "labels.tsv"):
+            rows = [line.split("\t") for line in labels.read_text().splitlines()]
+            assert float(rows[-1][1]) == pytest.approx(duration, abs=1e-6)
+            assert all(float(end) <= duration + 1e-6 for _, end, _ in rows)
+
     def test_perfect_division_requires_ann(self, dataset, trained, tmp_path):
         assert run(["predict", "--model", trained / "model.npz",
                     "--features", dataset / "song_0000.cqtf",

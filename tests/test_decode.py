@@ -150,6 +150,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             DecoderConfig(beta=0.5, n_classes=1)
 
+    @pytest.mark.parametrize("mode", ["max-marginal", "Viterbi", ""])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match="mode"):
+            DecoderConfig(0.15, 3, mode=mode)
+
 
 class TestViterbi:
     def test_high_beta_removes_blip(self):

@@ -364,6 +364,24 @@ class TestBeatIntervals:
         bi = beat_intervals([0.5, 1.0], "1", duration=1.8)
         assert bi.intervals[-1] == (1.0, 1.8)
 
+    @pytest.mark.parametrize("division, expected", [
+        ("1", ((0.0, 0.5), (0.5, 1.0), (1.0, 10.0))),
+        ("2", ((0.0, 1.0), (1.0, 10.0))),
+    ])
+    def test_beats_after_the_duration_dropped(self, division, expected):
+        assert beat_intervals([0.5, 1.0, 50.0, 60.0], division, duration=10.0).intervals == expected
+
+    def test_beat_at_the_duration_kept(self):
+        assert beat_intervals([0.5, 1.0 + 1e-12], "1", duration=1.0).intervals == (
+            (0.0, 0.5), (0.5, 1.0 + 1e-12))
+
+    def test_every_beat_after_the_duration_leaves_one_interval(self):
+        assert beat_intervals([20.0, 30.0], "1", duration=10.0).intervals == ((0.0, 10.0),)
+
+    def test_song_of_no_time_has_no_beat_intervals(self):
+        with pytest.raises(EmptyBeatList):
+            beat_intervals([0.0, 0.5], "1", duration=0.0)
+
     def test_division_half(self):
         bi = beat_intervals([0.0, 1.0], "0.5")
         assert bi.intervals == ((0.0, 0.5), (0.5, 1.0))

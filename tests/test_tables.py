@@ -166,7 +166,8 @@ class TestVerdictTables:
 
     @pytest.mark.parametrize("ref, est", [(-1, 0), (0, -1), (170, 0), (0, 170)])
     def test_compare_labels_range_checked(self, ref, est):
-        with pytest.raises(IdOutOfRange):
+        bad = ref if not 0 <= ref < 170 else est
+        with pytest.raises(IdOutOfRange, match=rf"id {bad} outside \[0, 170\)"):
             compare_labels(MetricKind.ACC, ref, est, V170)
 
 

@@ -121,7 +121,8 @@ def interval_sets(draw, ann):
         return perfect_intervals(ann)
     beats = np.cumsum(draw(st.lists(st.floats(0.05, 2.0), min_size=2, max_size=30)))
     beats = beats - draw(st.sampled_from([0.0, 0.0, float(beats[0])]))
-    tail = draw(st.sampled_from([None, ann.duration, ann.duration + 2.5]))
+    # a song of no time has no beat intervals: beat_intervals refuses duration 0
+    tail = draw(st.sampled_from([None, ann.duration or None, ann.duration + 2.5]))
     return beat_intervals(beats.tolist(), draw(st.sampled_from(["0.25", "0.5", "1", "2"])),
                           duration=tail)
 

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chordkit.errors import BadManifest, ChordkitError, IdOutOfRange
-from chordkit.harte import format_chord, parse_chord, transpose_label
-from chordkit.vocab import (get_vocabulary, id_info, id_label, load_manifest,
-                            manifest_hash, map_label, save_manifest,
+from chordkit.harte import QUALITY_TEMPLATES, format_chord, parse_chord, transpose_label
+from chordkit.vocab import (Vocabulary, check_ids, get_vocabulary, id_info, id_label,
+                            load_manifest, manifest_hash, map_label, save_manifest,
                             transpose_id, vocabulary_170, vocabulary_26)
 
 V170 = vocabulary_170()
@@ -56,6 +56,37 @@ class TestMapLabel:
             label = id_label(chord_id, V170)
             assert map_label(label, V170) == chord_id
 
+    @staticmethod
+    def _majmin(*qualities):
+        return Vocabulary(qualities, tuple(QUALITY_TEMPLATES[q] for q in qualities),
+                          reduce_to_majmin=True)
+
+    def test_reduced_vocabulary_in_its_own_order(self):
+        vocab = self._majmin("min", "maj")
+        assert map_label(parse_chord("C:maj"), vocab) == vocab.chord_id(0, "maj")
+        assert map_label(parse_chord("A:min7"), vocab) == vocab.chord_id(9, "min")
+
+    def test_reduced_vocabulary_with_more_qualities(self):
+        vocab = self._majmin("maj", "min", "dim")
+        assert map_label(parse_chord("C:dim"), vocab) == vocab.chord_id(0, "dim")
+        assert map_label(parse_chord("B:hdim7"), vocab) == vocab.chord_id(11, "dim")
+
+    # one degree name per root-relative semitone
+    _DEGREES = ("1", "b2", "2", "b3", "3", "4", "b5", "5", "#5", "6", "b7", "7")
+
+    @pytest.mark.parametrize("root", ["C", "F"])
+    def test_small_vocabulary_is_the_reduction_of_the_large(self, root):
+        """Every root-relative pitch-class set, written as maj plus additions
+        and omissions, maps into V26 as the maj/min reduction of its V170 class."""
+        maj = QUALITY_TEMPLATES["maj"]
+        for bits in range(4096):
+            chord = {p for p in range(12) if bits >> p & 1}
+            degrees = ([self._DEGREES[p] for p in sorted(chord - maj)]
+                       + ["*" + self._DEGREES[p] for p in sorted(maj - chord)])
+            text = f"{root}:maj" + (f"({','.join(degrees)})" if degrees else "")
+            label = parse_chord(text)
+            assert map_label(label, V26) == V170.tables.majmin[map_label(label, V170)], text
+
 
 class TestIdScheme:
     def test_id_zero(self):
@@ -74,6 +105,14 @@ class TestIdScheme:
             id_info(170, V170)
         with pytest.raises(IdOutOfRange):
             id_info(-1, V170)
+
+    def test_out_of_range_message_names_the_first_bad_id(self):
+        with pytest.raises(IdOutOfRange, match=r"^id -2 outside \[0, 170\)$"):
+            check_ids([3, -2, 200], V170)
+        with pytest.raises(IdOutOfRange, match=r"^id 170 outside \[0, 170\)$"):
+            id_info(170, V170)
+        with pytest.raises(IdOutOfRange, match=r"^id 26 outside \[0, 26\)$"):
+            transpose_id(26, 3, V26)
 
 
 class TestTransposeId:
@@ -150,6 +189,13 @@ class TestManifest:
     def test_hash_stable(self):
         assert manifest_hash(V170) == manifest_hash(vocabulary_170())
         assert manifest_hash(V170) != manifest_hash(V26)
+
+    def test_hash_of_the_built_in_manifests(self):
+        """Saved checkpoints and posteriorgrams record these hashes."""
+        assert manifest_hash(V170) == (
+            "c4c4626825a7ad7592fa0b7f901ebec75eb560720835ae2415871afd736115ed")
+        assert manifest_hash(V26) == (
+            "9d966857461a45820b41b5cdbb47bd54eea19ad00eb2975a9b5d80a84b63c072")
 
     def test_format_of_every_class_parses(self):
         for chord_id in range(168):
