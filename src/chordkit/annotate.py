@@ -26,7 +26,7 @@ import numpy as np
 from . import harte
 from .errors import DegenerateSignal, MalformedChord, MalformedLine, NonMonotoneTimes
 from .harte import ChordLabel
-from .metrics import intersect, path_columns, path_from_annotation
+from .metrics import intersect, path_from_annotation
 from .vocab import Vocabulary, map_label
 
 DEFAULT_SR = 44100
@@ -185,7 +185,7 @@ def interval_labels(ann: Annotation, intervals, vocab: Vocabulary) -> np.ndarray
     time no segment covers counts as N, and ties go to the lowest id."""
     bounds = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
     dur, row, cid = intersect((bounds[:, 0], bounds[:, 1], np.arange(len(bounds))),
-                              path_columns(path_from_annotation(ann, vocab)))
+                              path_from_annotation(ann, vocab).columns)
     cell = row * vocab.size + cid
     # astype: bincount gives ints when no piece is covered
     overlap = np.bincount(cell, dur, len(bounds) * vocab.size).reshape(-1, vocab.size).astype(float)

@@ -97,10 +97,10 @@ def load_features(path) -> FeatureMatrix:
         # more memory than the file holds
         if os.fstat(fh.fileno()).st_size - _HEADER.size < size:
             raise TruncatedPayload(f"payload shorter than header promises: {path}")
-        payload = fh.read(size)
-    if len(payload) < size:
-        raise TruncatedPayload(f"payload shorter than header promises: {path}")
-    data = np.frombuffer(payload, dtype="<f4").reshape(n_frames, n_bins).astype(np.float32)
+        data = np.empty((n_frames, n_bins), dtype="<f4")
+        if fh.readinto(data) < size:
+            raise TruncatedPayload(f"payload shorter than header promises: {path}")
+    data = data.astype(np.float32, copy=False)  # native order: no copy on little-endian hosts
     if not np.isfinite(data).all():
         raise NonFiniteFeatures(f"non-finite feature values in {path}")
     return FeatureMatrix(data=data, hop=hop, bins_per_octave=bpo, floor_db=floor_db)

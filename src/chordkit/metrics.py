@@ -9,6 +9,7 @@ counting. Reference X symbols are always ignored (undefined).
 from __future__ import annotations
 
 import enum
+import functools
 import statistics
 from dataclasses import dataclass
 
@@ -45,6 +46,15 @@ class TimedPath:
     @property
     def duration(self) -> float:
         return self.intervals[-1][1] if self.intervals else 0.0
+
+    @functools.cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (start, end, id) arrays of the intervals, built on first use."""
+        table = np.ascontiguousarray(np.array(self.intervals, dtype=np.float64).reshape(-1, 3).T)
+        columns = table[0], table[1], table[2].astype(np.int64)
+        for column in columns:
+            column.flags.writeable = False
+        return columns
 
 
 def run_edges(*keys) -> np.ndarray:
@@ -93,12 +103,6 @@ def compare_labels(kind: MetricKind, ref: int, est: int, vocab: Vocabulary) -> V
     return Verdict(int(vocab.tables.verdicts[kind.value][ref, est]))
 
 
-def path_columns(path: TimedPath):
-    """(start, end, id) arrays of a path's intervals."""
-    table = np.array(path.intervals, dtype=np.float64).reshape(-1, 3)
-    return table[:, 0], table[:, 1], table[:, 2].astype(np.int64)
-
-
 def intersect(ref, est):
     """(duration, ref_id, est_id) arrays over the common refinement of two
     timelines, each a (start, end, id) column triple in time order.
@@ -124,7 +128,7 @@ _NO_PIECES = (np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int
 def _defined_pieces(kind: MetricKind, songs, vocab: Vocabulary):
     """(duration, ref_id, correct) of every piece where the comparator is
     defined, all songs in time order; raises ZeroDefinedTime if there is none."""
-    pieces = (intersect(path_columns(ref), path_columns(est)) for ref, est in songs)
+    pieces = (intersect(ref.columns, est.columns) for ref, est in songs)
     columns = zip(_NO_PIECES, *pieces)
     dur, ref, est = (np.concatenate(column) for column in columns)
     verdict = vocab.tables.verdicts[kind.value][check_ids(ref, vocab), check_ids(est, vocab)]

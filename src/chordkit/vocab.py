@@ -256,8 +256,9 @@ def load_manifest(path) -> Vocabulary:
 
     Raises BadManifest for an empty file, a wrong header, a missing or bad
     ``reduce_to_majmin`` line, a quality line that is not a name plus
-    comma-separated pitch classes in 0-11, a quality listed twice, no
-    quality at all, or bytes that are not UTF-8.
+    comma-separated pitch classes in 0-11, a quality listed twice, two
+    qualities with the same pitch classes (the second would never be
+    mapped to), no quality at all, or bytes that are not UTF-8.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -283,6 +284,10 @@ def load_manifest(path) -> Vocabulary:
             raise BadManifest(f"{path}: line {line_no}: pitch classes outside 0-11")
         if name in names:
             raise BadManifest(f"{path}: line {line_no}: quality {name!r} listed twice")
+        if template in templates:
+            earlier = names[templates.index(template)]
+            raise BadManifest(f"{path}: line {line_no}: quality {name!r} has the pitch classes "
+                              f"of quality {earlier!r}")
         names.append(name)
         templates.append(template)
     if not names:

@@ -88,6 +88,38 @@ def reference_viterbi_loop(post, cfg):
     return path
 
 
+def reference_max_marginal(post, cfg):
+    """The max-marginal decoder as it was before it worked in place."""
+    post = np.asarray(post, dtype=np.float64, order="C")
+    n_frames, n_states = post.shape
+    emit = np.maximum(post, PROB_FLOOR)
+    off = (1.0 - cfg.beta) / (n_states - 1)
+
+    def step(prev):
+        total = prev.sum()
+        return prev * cfg.beta + (total - prev) * off
+
+    fwd = np.zeros_like(emit)
+    fwd[0] = emit[0] / n_states
+    fwd[0] /= fwd[0].sum()
+    for t in range(1, n_frames):
+        fwd[t] = step(fwd[t - 1]) * emit[t]
+        fwd[t] /= fwd[t].sum()
+    bwd = np.ones_like(emit)
+    for t in range(n_frames - 2, -1, -1):
+        bwd[t] = step(bwd[t + 1] * emit[t + 1])
+        bwd[t] /= bwd[t].sum()
+    return np.argmax(fwd * bwd, axis=1)
+
+
+def class_major(post, extra, dtype):
+    """``post`` as the [T, C] view of a C-order [C + extra, T] buffer, the
+    layout that ``model.forward`` returns."""
+    buf = np.zeros((post.shape[1] + extra, post.shape[0]), dtype=dtype)
+    buf[:post.shape[1]] = post.T
+    return buf.T[:, :post.shape[1]]
+
+
 def reference_path_log_score(path, post, cfg):
     log_post = np.log(np.maximum(np.asarray(post, dtype=np.float64), PROB_FLOOR))
     log_self, log_off = _log_transitions(cfg)
@@ -269,6 +301,25 @@ class TestViterbi:
         cfg = DecoderConfig(beta=beta_for(regime, frac, n_states), n_classes=n_states)
         assert np.array_equal(viterbi_smooth(post, cfg), reference_viterbi_loop(post, cfg))
 
+    @settings(max_examples=150, deadline=None)
+    @given(n_states=st.sampled_from([2, 3, 26, 170]), n_frames=st.integers(1, 300),
+           extra=st.integers(0, 40), regime=st.sampled_from(["below", "equal", "above"]),
+           frac=st.floats(0.02, 0.98), blips=st.sampled_from([0.0, 0.05, 0.3]),
+           rival=st.sampled_from([0.0, 0.8, 0.95]), zeros=st.booleans(),
+           decimals=st.one_of(st.none(), st.integers(1, 3)), seed=st.integers(0, 2**32 - 1))
+    def test_memory_order_does_not_matter(self, n_states, n_frames, extra, regime, frac, blips,
+                                          rival, zeros, decimals, seed):
+        rng = np.random.default_rng(seed)
+        post = run_posteriors(rng, n_frames, n_states, blips, rival, zeros, decimals, np.float64)
+        cfg = DecoderConfig(beta=beta_for(regime, frac, n_states), n_classes=n_states)
+        for dtype in (np.float32, np.float64):
+            view = class_major(post, extra, dtype)
+            assert view.flags.f_contiguous
+            copy = np.ascontiguousarray(view)
+            expected = reference_viterbi_loop(copy, cfg)
+            assert np.array_equal(viterbi_smooth(view, cfg), expected)
+            assert np.array_equal(viterbi_smooth(copy, cfg), expected)
+
     @pytest.mark.parametrize("rows", [
         # the run's two best emissions are equal, then the second takes over
         [[0.7, 0.2, 0.1]] * 3 + [[0.4, 0.4, 0.2]] * 8 + [[0.2, 0.7, 0.1]] * 3,
@@ -319,6 +370,21 @@ class TestMaxMarginal:
         ])
         cfg = DecoderConfig(beta=0.95, n_classes=2, mode="max_marginal")
         assert list(viterbi_smooth(post, cfg)) == [0, 0, 0, 0, 0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_states=st.sampled_from([2, 3, 26, 170]), n_frames=st.integers(1, 200),
+           extra=st.integers(0, 40), beta=st.floats(0.01, 0.99), zeros=st.booleans(),
+           decimals=st.one_of(st.none(), st.integers(1, 3)), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_out_of_place_decoder(self, n_states, n_frames, extra, beta, zeros,
+                                             decimals, seed):
+        rng = np.random.default_rng(seed)
+        post = random_posteriors(rng, n_frames, n_states, zeros, decimals)
+        cfg = DecoderConfig(beta=beta, n_classes=n_states, mode="max_marginal")
+        for dtype in (np.float32, np.float64):
+            view = class_major(post, extra, dtype)
+            expected = reference_max_marginal(view, cfg)
+            assert np.array_equal(viterbi_smooth(view, cfg), expected)
+            assert np.array_equal(viterbi_smooth(np.ascontiguousarray(view), cfg), expected)
 
     def test_uniform_beta_is_framewise_argmax(self):
         rng = np.random.default_rng(3)

@@ -116,6 +116,32 @@ class TestPaths:
     def test_duration(self):
         assert TimedPath(intervals=((0.0, 2.5, 0),)).duration == 2.5
 
+    @pytest.mark.parametrize("intervals", [
+        ((0.0, 1.0, 3), (1.0, 2.5, 5), (2.5, 3.0, 169)),
+        ((0.5, 0.75, 0),),
+        (),
+    ], ids=["three", "one", "empty"])
+    def test_columns_are_the_intervals_read_only(self, intervals):
+        path = TimedPath(intervals=intervals)
+        start, end, ids = path.columns
+        table = np.array(intervals, dtype=np.float64).reshape(-1, 3)
+        assert np.array_equal(start, table[:, 0]) and np.array_equal(end, table[:, 1])
+        assert np.array_equal(ids, table[:, 2]) and ids.dtype == np.int64
+        assert path.columns is path.columns  # built once
+        for column in path.columns:
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[:] = 0
+
+    def test_columns_leave_equality_and_hash_alone(self):
+        intervals = ((0.0, 1.0, 3), (1.0, 2.5, 5))
+        built, fresh = TimedPath(intervals=intervals), TimedPath(intervals=intervals)
+        before = hash(built)
+        built.columns
+        assert built == fresh and hash(built) == before == hash(fresh)
+        assert built != TimedPath(intervals=intervals[:1])
+        assert len({built, fresh}) == 1
+
     @pytest.mark.parametrize("est,expected", [
         # ends early: N to the reference's end
         (((0.0, 5.0, 3),), ((1.0, 5.0, 3), (5.0, 9.0, "N"))),

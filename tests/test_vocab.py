@@ -137,8 +137,9 @@ class TestTransposeId:
 class TestManifest:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "vocab.txt"
-        save_manifest(V170, path)
-        assert load_manifest(path) == V170
+        for vocab in (V170, V26):
+            save_manifest(vocab, path)
+            assert load_manifest(path) == vocab
 
     @pytest.mark.parametrize("text", [
         "",
@@ -153,9 +154,11 @@ class TestManifest:
         "chordkit-vocab v1\nreduce_to_majmin 0\nmaj 0,4,12\n",
         "chordkit-vocab v1\nreduce_to_majmin 0\n\n",
         "chordkit-vocab v1\nreduce_to_majmin 0\nmaj 0,4,7\nmaj 0,3,7\n",
+        "chordkit-vocab v1\nreduce_to_majmin 0\nmaj 0,4,7\nmajor 0,4,7\n",
     ], ids=["empty", "header-only", "bad-header", "bad-version", "bad-reduce-value",
             "no-reduce-line", "quality-without-classes", "quality-extra-field",
-            "quality-non-integer", "quality-out-of-range", "no-quality", "quality-twice"])
+            "quality-non-integer", "quality-out-of-range", "no-quality", "quality-twice",
+            "pitch-classes-twice"])
     def test_malformed_manifest_rejected(self, tmp_path, text):
         path = tmp_path / "vocab.txt"
         path.write_text(text)
@@ -179,6 +182,14 @@ class TestManifest:
             load_manifest(path)
         except ChordkitError:
             pass
+
+    def test_pitch_classes_twice_names_the_line_and_the_earlier_quality(self, tmp_path):
+        """map_label would never return the second quality's ids, in any order of listing."""
+        path = tmp_path / "vocab.txt"
+        path.write_text("chordkit-vocab v1\nreduce_to_majmin 0\nmaj 0,4,7\nmin 0,3,7\nmajor 7,0,4\n")
+        with pytest.raises(BadManifest, match="line 5: quality 'major' has the pitch classes "
+                                              "of quality 'maj'"):
+            load_manifest(path)
 
     def test_invalid_utf8_rejected(self, tmp_path):
         path = tmp_path / "vocab.txt"
