@@ -89,17 +89,11 @@ def _split(pairs, seed: int):
     return train, val, test
 
 
-def _label_path(ids, hop: float, intervals=None) -> metrics.TimedPath:
-    """Labels of posteriorgram rows: frame rows (no ``intervals``) merge into
-    runs of equal ids; pooled rows keep one labelled interval each."""
-    if intervals is None:
-        return metrics.path_from_frames(ids, hop)
-    return metrics.TimedPath(intervals=tuple(
-        (float(start), float(end), int(chord_id))
-        for (start, end), chord_id in zip(intervals, ids)))
-
-
-def _write_labels(path: metrics.TimedPath, vocab, out: Path) -> None:
+def _write_labels(ids, hop: float, intervals, vocab, out: Path) -> None:
+    """The label file of posteriorgram rows: frame rows (no ``intervals``)
+    merge into runs of equal ids; pooled rows keep one labelled interval each."""
+    path = (metrics.path_from_frames(ids, hop) if intervals is None
+            else metrics.TimedPath(np.column_stack((intervals, ids))))
     segments = tuple((start, end, id_label(cid, vocab)) for start, end, cid in path.intervals)
     annotate.save_annotation(annotate.Annotation(segments, path.duration), out)
 
@@ -192,7 +186,7 @@ def cmd_predict(args) -> int:
     post, _, _ = model.forward(params, feat)
     ids = np.argmax(post, axis=1)
     out_dir = _out_dir(args)
-    _write_labels(_label_path(ids, feat.hop, intervals), vocab, out_dir / "labels.tsv")
+    _write_labels(ids, feat.hop, intervals, vocab, out_dir / "labels.tsv")
     model.save_posteriors(out_dir / "posteriors.npz", post, params.vocab_hash,
                           feat.hop, intervals)
     _write_manifest(out_dir, "predict", args, [args.model, args.features],
@@ -208,7 +202,7 @@ def cmd_smooth(args) -> int:
                                mode="max_marginal" if args.max_marginal else "viterbi")
     ids = decode.viterbi_smooth(post, cfg)
     out_dir = _out_dir(args)
-    _write_labels(_label_path(ids, hop, intervals), vocab, out_dir / "labels.tsv")
+    _write_labels(ids, hop, intervals, vocab, out_dir / "labels.tsv")
     _write_manifest(out_dir, "smooth", args, [args.post], ["labels.tsv"])
     _log(f"smoothed {post.shape[0]} rows (beta={args.beta}) -> {out_dir}")
     return 0

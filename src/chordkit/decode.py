@@ -201,7 +201,7 @@ def path_log_score(path, post: np.ndarray, cfg: DecoderConfig) -> float:
     """Log score of a state path under the smoothing model (up to the
     constant uniform-initial term)."""
     path = np.asarray(path, dtype=np.int64)
-    emitted = np.asarray(post, dtype=np.float64)[np.arange(len(path)), path]
+    emitted = np.asarray(post)[np.arange(len(path)), path].astype(np.float64)
     log_self, log_off = _log_transitions(cfg)
     # [lp_0, tr_1, lp_1, tr_2, ...] summed left to right, as a running total adds
     terms = np.empty(2 * len(path) - 1)

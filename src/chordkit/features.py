@@ -90,8 +90,7 @@ def load_features(path) -> FeatureMatrix:
             raise BadHeader(f"hop {hop} is not a positive number in {path}")
         if not math.isfinite(floor_db):
             raise BadHeader(f"floor_db {floor_db} is not finite in {path}")
-        if bpo == 0 or bpo % 12 != 0:
-            raise BadBinConfig(f"bins_per_octave {bpo} is not a positive multiple of 12")
+        _check_bins_per_octave(bpo)
         size = n_frames * n_bins * 4
         # the file size bounds the read, so a forged n_frames cannot ask for
         # more memory than the file holds
@@ -106,12 +105,16 @@ def load_features(path) -> FeatureMatrix:
     return FeatureMatrix(data=data, hop=hop, bins_per_octave=bpo, floor_db=floor_db)
 
 
+def _check_bins_per_octave(bins_per_octave: int) -> int:
+    """Bins per semitone; BadBinConfig unless bins_per_octave is a positive multiple of 12."""
+    if bins_per_octave <= 0 or bins_per_octave % 12 != 0:
+        raise BadBinConfig(f"bins_per_octave {bins_per_octave} is not a positive multiple of 12")
+    return bins_per_octave // 12
+
+
 def bin_pitch_classes(n_bins: int, bins_per_octave: int) -> np.ndarray:
     """Pitch class of each CQT bin, with bin 0 at C1 (pitch class 0)."""
-    if bins_per_octave % 12 != 0:
-        raise BadBinConfig(f"bins_per_octave {bins_per_octave} not divisible by 12")
-    per_semitone = bins_per_octave // 12
-    semitones = np.arange(n_bins) // per_semitone
+    semitones = np.arange(n_bins) // _check_bins_per_octave(bins_per_octave)
     return (semitones % 12).astype(np.int64)
 
 
@@ -159,11 +162,9 @@ def render_synthetic_cqt(ann: Annotation, grid: FrameGrid,
 
 def pitch_shift_cqt(feat: FeatureMatrix, k: int) -> FeatureMatrix:
     """Shift all bins by k semitones; vacated bins are filled with floor_db."""
-    if feat.bins_per_octave % 12 != 0:
-        raise BadBinConfig(f"bins_per_octave {feat.bins_per_octave} not divisible by 12")
     if abs(k) > 11:
         raise ValueError(f"|k| must be <= 11, got {k}")
-    shift = k * (feat.bins_per_octave // 12)
+    shift = k * _check_bins_per_octave(feat.bins_per_octave)
     out = np.full_like(feat.data, feat.floor_db)
     # bins lo..hi-1 take bins lo-shift..hi-shift-1; none when |shift| >= n_bins
     lo = max(shift, 0)

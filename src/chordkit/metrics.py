@@ -9,9 +9,7 @@ counting. Reference X symbols are always ignored (undefined).
 from __future__ import annotations
 
 import enum
-import functools
 import statistics
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,24 +35,34 @@ class Verdict(enum.Enum):
     UNDEFINED = -1
 
 
-@dataclass(frozen=True)
 class TimedPath:
-    """Contiguous (start, end, chord_id) coverage of one song's timeline."""
+    """Contiguous (start, end, chord_id) coverage of one song's timeline, held once
+    as read-only ``columns`` made from its rows: (start, end, id) triples or an [n, 3] array."""
 
-    intervals: tuple[tuple[float, float, int], ...]
+    __slots__ = ("columns",)
+
+    def __init__(self, intervals=()):
+        table = np.array(np.reshape(intervals, (-1, 3)).T, dtype=np.float64, order="C")
+        self.columns = table[0], table[1], table[2].astype(np.int64)
+        for column in self.columns:
+            column.flags.writeable = False
+
+    @property
+    def intervals(self) -> tuple[tuple[float, float, int], ...]:
+        return tuple(zip(*(column.tolist() for column in self.columns)))
 
     @property
     def duration(self) -> float:
-        return self.intervals[-1][1] if self.intervals else 0.0
+        return float(self.columns[1][-1]) if len(self.columns[1]) else 0.0
 
-    @functools.cached_property
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (start, end, id) arrays of the intervals, built on first use."""
-        table = np.ascontiguousarray(np.array(self.intervals, dtype=np.float64).reshape(-1, 3).T)
-        columns = table[0], table[1], table[2].astype(np.int64)
-        for column in columns:
-            column.flags.writeable = False
-        return columns
+    def __eq__(self, other):
+        return isinstance(other, TimedPath) and self.intervals == other.intervals
+
+    def __hash__(self):
+        return hash(self.intervals)
+
+    def __repr__(self):
+        return f"TimedPath(intervals={self.intervals!r})"
 
 
 def run_edges(*keys) -> np.ndarray:
@@ -71,30 +79,26 @@ def path_from_frames(ids, hop: float) -> TimedPath:
     """TimedPath from per-frame ids with frame i covering [i*hop, (i+1)*hop)."""
     ids = np.asarray(ids)
     edges = run_edges(ids)
-    starts, ends = edges[:-1], edges[1:]
-    return TimedPath(intervals=tuple(zip((starts * hop).tolist(), (ends * hop).tolist(),
-                                         ids[starts].astype(np.int64).tolist())))
+    return TimedPath(np.column_stack((edges[:-1] * hop, edges[1:] * hop, ids[edges[:-1]])))
 
 
 def path_from_annotation(ann, vocab: Vocabulary) -> TimedPath:
-    return TimedPath(intervals=tuple(
-        (start, end, map_label(label, vocab)) for start, end, label in ann.segments
-    ))
+    return TimedPath([(start, end, map_label(label, vocab)) for start, end, label in ann.segments])
 
 
 def adjust_estimate(ref: TimedPath, est: TimedPath, vocab: Vocabulary) -> TimedPath:
     """The estimate trimmed to the reference's span and padded with N at
     either end (mir_eval's ``adjust_intervals`` convention): time the
     estimate leaves out counts as N, time past the reference is not scored."""
-    if not ref.intervals:
-        return TimedPath(intervals=())
-    lo, hi = ref.intervals[0][0], ref.intervals[-1][1]
+    if not len(ref.columns[0]):
+        return TimedPath()
+    lo, hi = float(ref.columns[0][0]), ref.duration
     kept = [(max(start, lo), min(end, hi), chord)
             for start, end, chord in est.intervals if end > lo and start < hi]
     first, last = (kept[0][0], kept[-1][1]) if kept else (hi, hi)
     head = [(lo, first, vocab.n_id)] if first > lo else []
     tail = [(last, hi, vocab.n_id)] if last < hi else []
-    return TimedPath(intervals=tuple(head + kept + tail))
+    return TimedPath(head + kept + tail)
 
 
 def compare_labels(kind: MetricKind, ref: int, est: int, vocab: Vocabulary) -> Verdict:

@@ -83,6 +83,16 @@ class TestAnnotation:
         with pytest.raises(NonMonotoneTimes):
             Annotation(segments=((1.0, 1.0, harte.NO_CHORD),), duration=2.0)
 
+    def test_duration_before_last_end_rejected(self):
+        with pytest.raises(NonMonotoneTimes):
+            Annotation(segments=((0.0, 2.0, harte.NO_CHORD),), duration=1.5)
+
+    def test_fill_gaps_refuses_duration_before_last_end(self):
+        # within 1e-6 the stated duration is rounding and gives way
+        assert make_ann([(0.0, 2.0, "C:maj")], duration=2.0 - 5e-7).duration == 2.0
+        with pytest.raises(NonMonotoneTimes):
+            make_ann([(0.0, 2.0, "C:maj")], duration=1.5)
+
     def test_transpose(self):
         ann = make_ann([(0.0, 1.0, "A:min7")])
         up = transpose_annotation(ann, 3)
@@ -288,6 +298,14 @@ class TestAlignment:
         want = alignment_lag(feat, ann, window_frames=32)
         for window in (33, 34, 35, 50, 10_000):
             assert alignment_lag(feat, ann, window_frames=window) == want, window
+
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_window_must_be_positive(self, window):
+        ann = make_ann([(0.0, 1.0, "C:maj"), (1.0, 2.0, "G:maj")])
+        feat = type("F", (), {"data": np.random.default_rng(0).normal(size=(40, 4)),
+                              "hop": DEFAULT_HOP})()
+        with pytest.raises(ValueError, match="window_frames"):
+            alignment_lag(feat, ann, window_frames=window)
 
     def test_degenerate_signal_raises(self):
         ann = make_ann([(0.0, 1.0, "C:maj")])

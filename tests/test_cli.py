@@ -503,6 +503,30 @@ class TestReport:
                         "--metric", "root"]) == 0
             assert capsys.readouterr().out.strip() == f"{float(row['root']):.1f}"
 
+    def test_no_matching_files_fails_with_one_json_line(self, dataset, tmp_path, capsys):
+        (tmp_path / "est").mkdir()
+        (tmp_path / "est" / "other.tsv").write_text("0.000000\t1.000000\tC:maj\n")
+        capsys.readouterr()
+        assert run(["report", "--ref-dir", dataset, "--est-dir", tmp_path / "est",
+                    "--out", tmp_path / "report"]) == 1
+        assert _one_json_error(capsys)["error"] == "ChordkitError"
+        assert not (tmp_path / "report" / "report.json").exists()
+
+    def test_per_song_cell_blank_where_comparator_is_undefined(self, tmp_path):
+        """seventh and majmin are undefined on sus4; the song scores
+        nothing there, while the other song still does."""
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        (ref / "a.tsv").write_text("0.000000\t4.000000\tC:sus4\n4.000000\t8.000000\tG:sus4\n")
+        (ref / "b.tsv").write_text("0.000000\t4.000000\tC:maj\n")
+        out = tmp_path / "report"
+        assert run(["report", "--ref-dir", ref, "--est-dir", ref, "--out", out]) == 0
+        with open(out / "per_song.csv", newline="", encoding="utf-8") as fh:
+            sus4, major = list(csv.DictReader(fh))
+        assert sus4["song"] == "a.tsv" and major["song"] == "b.tsv"
+        assert sus4["seventh"] == sus4["majmin"] == ""
+        assert float(sus4["acc"]) == float(sus4["root"]) == 100.0
+        assert float(major["seventh"]) == float(major["majmin"]) == 100.0
 
     def test_eval_scores_early_ending_estimate_like_report(self, dataset, tmp_path, capsys):
         """An estimate cut at 5 s of a 10 s song reads as N for the rest, in

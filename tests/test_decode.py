@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -357,6 +358,23 @@ class TestPathLogScore:
         as_list = path.tolist()
         assert path_log_score(as_list, post, cfg) == reference_path_log_score(as_list, post, cfg)
         assert path_log_score(path, post, cfg) == reference_path_log_score(path, post, cfg)
+
+    def test_float32_posteriorgram_gathers_the_path_first(self):
+        """The score of a float32 posteriorgram equals that of its float64
+        copy, and scoring holds less than the posteriorgram's own size."""
+        rng = np.random.default_rng(11)
+        post = rng.dirichlet(np.ones(170), size=2000).astype(np.float32)
+        path = rng.integers(0, 170, size=2000)
+        cfg = DecoderConfig(beta=0.15, n_classes=170)
+        expected = path_log_score(path, post.astype(np.float64), cfg)
+        tracemalloc.start()
+        try:
+            score = path_log_score(path, post, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert score == expected
+        assert peak < post.nbytes, (peak, post.nbytes)
 
 
 class TestMaxMarginal:

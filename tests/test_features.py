@@ -180,6 +180,11 @@ class TestBinPitchClasses:
         with pytest.raises(BadBinConfig):
             bin_pitch_classes(10, 35)
 
+    @pytest.mark.parametrize("bpo", [0, -12])
+    def test_rejects_no_bins_per_octave(self, bpo):
+        with pytest.raises(BadBinConfig):
+            bin_pitch_classes(24, bpo)
+
 
 class TestRenderer:
     def test_chord_bins_above_floor(self):
@@ -249,6 +254,12 @@ class TestRenderer:
 
 
 class TestPitchShift:
+    @pytest.mark.parametrize("bpo", [0, -12, 18])
+    def test_rejects_what_the_loader_rejects(self, bpo):
+        feat = make_feat(np.zeros((3, 24), dtype=np.float32), bpo=bpo)
+        with pytest.raises(BadBinConfig):
+            pitch_shift_cqt(feat, 1)
+
     def test_render_equivariance_no_wrap(self):
         # C:maj -> D:maj; no pitch class crosses the octave boundary, so
         # shifting the rendered features equals rendering the shifted chord.

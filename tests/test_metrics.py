@@ -133,6 +133,18 @@ class TestPaths:
             with pytest.raises(ValueError):
                 column[:] = 0
 
+    @pytest.mark.parametrize("intervals", [
+        ((0.0, 1.0, 3), (1.0, 2.5, 5), (2.5, 3.0, 169)),
+        (),
+    ], ids=["three", "empty"])
+    def test_array_rows_make_the_same_path(self, intervals):
+        path = TimedPath(np.array(intervals, dtype=np.float64).reshape(-1, 3))
+        assert path == TimedPath(intervals=intervals)
+        assert hash(path) == hash(TimedPath(intervals=intervals))
+        assert path.intervals == intervals
+        assert all(type(s) is float and type(c) is int for s, _, c in path.intervals)
+        assert path.duration == TimedPath(intervals=intervals).duration
+
     def test_columns_leave_equality_and_hash_alone(self):
         intervals = ((0.0, 1.0, 3), (1.0, 2.5, 5))
         built, fresh = TimedPath(intervals=intervals), TimedPath(intervals=intervals)
@@ -158,6 +170,10 @@ class TestPaths:
         adjusted = adjust_estimate(ref, TimedPath(intervals=est), V)
         assert adjusted.intervals == tuple((s, e, V.n_id if c == "N" else c)
                                            for s, e, c in expected)
+
+    def test_adjust_estimate_to_empty_reference_is_empty(self):
+        est = TimedPath(intervals=((0.0, 5.0, 3),))
+        assert adjust_estimate(TimedPath(intervals=()), est, V) == TimedPath(intervals=())
 
     def test_adjusted_early_estimate_scores_missing_time_as_wrong(self):
         ref = TimedPath(intervals=((0.0, 10.0, cid("C:maj")),))

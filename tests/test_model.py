@@ -115,6 +115,10 @@ class TestClassWeights:
         with pytest.raises(AllZeroCounts):
             class_weights(np.zeros(4), 1.0)
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            class_weights(np.array([5.0, -1.0, 3.0]), 0.3)
+
 
 class TestExpectedCounts:
     def test_p_zero_identity(self):
@@ -778,6 +782,23 @@ class TestCheckpoint:
         with pytest.raises(BadCheckpoint):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("drop, meta", [
+        *(((field,), {}) for field in ("arch", "n_bins", "n_classes", "hidden_units",
+                                        "context", "vocab_hash", "version")),
+        ((), {"version": 2}),
+    ], ids=["no-arch", "no-n_bins", "no-n_classes", "no-hidden_units", "no-context",
+            "no-vocab_hash", "no-version", "version-2"])
+    def test_meta_needs_every_field_and_version_1(self, tmp_path, drop, meta):
+        path = tmp_path / "model.npz"
+        save_checkpoint(init_params("hidden", 8, V26, hidden_units=4, context=2, seed=9), path)
+        with np.load(path) as data:
+            stored = {k: data[k] for k in data.files}
+        merged = {**json.loads(str(stored["meta"])), **meta}
+        stored["meta"] = json.dumps({k: v for k, v in merged.items() if k not in drop})
+        np.savez(path, **stored)
+        with pytest.raises(BadCheckpoint):
+            load_checkpoint(path)
+
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(cut=st.one_of(st.none(), st.integers(0, 20_000)), flip=st.integers(0, 160_000))
@@ -811,6 +832,34 @@ class TestPosteriorsFile:
                         manifest_hash(V26), 0.1)
         with pytest.raises(BadPosteriors, match="not 2-D"):
             load_posteriors(tmp_path / "p.npz", V26)
+
+    @pytest.mark.parametrize("drop, meta, arrays", [
+        (("posteriors",), {}, {}),
+        (("hop",), {}, {}),
+        ((), {}, {"posteriors": np.ones((3, V26.size), dtype=np.int64)}),
+        ((), {}, {"posteriors": np.full((3, V26.size), np.nan)}),
+        ((), {}, {"posteriors": np.full((3, V26.size), np.inf)}),
+        ((), {"hop": 0.0}, {}),
+        ((), {"hop": -0.1}, {}),
+        ((), {"hop": "0.1"}, {}),
+        ((), {"hop": [0.1]}, {}),
+        ((), {}, {"intervals": np.array([0.0, 0.5, 1.0])}),
+        ((), {}, {"intervals": np.array([[0.0, 0.5], [0.5, 1.0]])}),
+        ((), {}, {"intervals": np.array([[0, 1], [1, 2], [2, 3]])}),
+    ], ids=["no-posteriors", "no-hop", "int-posteriors", "nan-posteriors", "inf-posteriors",
+            "zero-hop", "negative-hop", "str-hop", "list-hop", "flat-intervals",
+            "too-few-intervals", "int-intervals"])
+    def test_malformed_file_rejected(self, tmp_path, drop, meta, arrays):
+        """``drop`` names arrays or meta fields to leave out."""
+        path = tmp_path / "p.npz"
+        save_posteriors(path, np.full((3, V26.size), 1.0 / V26.size), manifest_hash(V26), 0.1)
+        with np.load(path) as data:
+            stored = {k: data[k] for k in data.files if k not in drop}
+        merged = {**json.loads(str(stored["meta"])), **meta}
+        stored["meta"] = json.dumps({k: v for k, v in merged.items() if k not in drop})
+        np.savez(path, **{**stored, **arrays})
+        with pytest.raises(BadPosteriors):
+            load_posteriors(path, V26)
 
     def test_rows_before_time_zero_rejected(self, tmp_path):
         post = np.full((2, V26.size), 1.0 / V26.size)
