@@ -33,6 +33,7 @@ DEFAULT_SR = 44100
 DEFAULT_HOP_SAMPLES = 4096
 DEFAULT_HOP = DEFAULT_HOP_SAMPLES / DEFAULT_SR
 TIME_EPS = 1e-9  # seconds within which two times count as one
+ALIGN_WINDOW_FRAMES = 50  # lags tried on each side by alignment_lag
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,7 @@ def _standardize(signal: np.ndarray) -> np.ndarray:
     return (signal - signal.mean()) / std
 
 
-def alignment_lag(feat, ann: Annotation, window_frames: int = 50) -> int:
+def alignment_lag(feat, ann: Annotation, window_frames: int = ALIGN_WINDOW_FRAMES) -> int:
     """Lag (in frames) maximizing the cross-correlation between the
     standardized feature-derivative magnitude and chord-change vector.
 

@@ -19,9 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, annotate, decode, features, metrics, model, synthgen
-from .errors import ChordkitError
+from .errors import ChordkitError, ZeroDefinedTime
 from .metrics import MetricKind
-from .vocab import get_vocabulary, id_label
+from .vocab import VOCABULARIES, get_vocabulary, id_label
+
+# train's flag destinations -> the TrainConfig fields they set and take defaults from
+TRAIN_FIELDS = {"epochs": "epochs", "batch_size": "batch_size", "patch_seconds": "patch_seconds",
+                "learning_rate": "learning_rate", "alpha": "weight_alpha",
+                "gamma": "structured_gamma", "shift_prob": "shift_probability"}
 
 
 def _log(message: str) -> None:
@@ -125,6 +130,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    cfg = model.TrainConfig(seed=args.seed,
+                            **{name: getattr(args, dest) for dest, name in TRAIN_FIELDS.items()})
     # omitted sizes take model.train's defaults
     sizes = {k: v for k, v in (("hidden_units", args.hidden_units), ("context", args.context))
              if v is not None}
@@ -138,11 +145,6 @@ def cmd_train(args) -> int:
     train_pairs, val_pairs, _ = _split(pairs, args.seed)
     train_set = _load_pairs(train_pairs)
     val_set = _load_pairs(val_pairs)
-    cfg = model.TrainConfig(
-        learning_rate=args.learning_rate, epochs=args.epochs,
-        batch_size=args.batch_size, patch_seconds=args.patch_seconds,
-        shift_probability=args.shift_prob, weight_alpha=args.alpha,
-        structured_gamma=args.gamma, seed=args.seed)
     params, history = model.train(train_set, val_set, cfg, vocab,
                                   arch=args.arch, **sizes)
     out_dir = _out_dir(args)
@@ -158,9 +160,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    # no division means beat-wise ("1") with a beat file, frame-wise without;
+    # no division means the default one with a beat file, frame-wise without;
     # a beat flag the chosen mode does not read is an error
-    division = args.beat_division or ("1" if args.beat_file else None)
+    division = args.beat_division or (features.DEFAULT_BEAT_DIVISION if args.beat_file else None)
     if division == "perfect":
         if args.beat_file or not args.ann:
             raise ChordkitError("--beat-division perfect requires --ann and no --beat-file")
@@ -244,7 +246,7 @@ def cmd_report(args) -> int:
         for kind in MetricKind:
             try:
                 row[kind.value] = round(metrics.wcsr(kind, [(ref_path, est_path)], vocab), 4)
-            except ChordkitError:
+            except ZeroDefinedTime:
                 row[kind.value] = ""
         row["transitions_est"] = decode.count_transitions(est_ids)
         row["transitions_ref"] = decode.count_transitions(ref_ids)
@@ -316,39 +318,36 @@ def build_parser() -> argparse.ArgumentParser:
         parent.add_argument(*names, **kwargs)
         return parent
 
-    vocab = flag("--vocab", type=int, default=170, choices=(170, 26))
+    vocab = flag("--vocab", type=int, default=170, choices=tuple(VOCABULARIES))
     seed = flag("--seed", type=int, default=0)
     hop = flag("--hop", type=float, default=annotate.DEFAULT_HOP)
     out = flag("--out", required=True)
 
     p = sub.add_parser("synth", parents=[seed, hop, out], help="generate a synthetic dataset")
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--duration", type=float, default=30.0)
-    p.add_argument("--noise", type=float, default=0.0, help="noise sigma in dB")
+    p.add_argument("--duration", type=float, default=synthgen.ProgressionConfig.duration)
+    p.add_argument("--noise", type=float, default=features.RenderParams.noise_db,
+                   help="noise sigma in dB")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", parents=[vocab, seed, out], help="train a frame-wise classifier")
     p.add_argument("--data", required=True)
-    p.add_argument("--arch", default="logistic", choices=("logistic", "hidden"))
+    p.add_argument("--arch", default=model.DEFAULT_ARCH, choices=model.ARCHITECTURES)
     p.add_argument("--hidden-units", type=int, help="hidden layer width, --arch hidden only")
     p.add_argument("--context", type=int,
                    help="frames of context on each side, --arch hidden only")
-    p.add_argument("--epochs", type=int, default=150)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--patch-seconds", type=float, default=10.0)
-    p.add_argument("--learning-rate", type=float, default=0.001)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--shift-prob", type=float, default=0.0)
+    for dest, name in TRAIN_FIELDS.items():
+        default = getattr(model.TrainConfig, name)
+        p.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", parents=[vocab, out], help="predict frame- or beat-wise labels")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--beat-file", help="beat times, one per line, for beat-wise labels")
-    p.add_argument("--beat-division", choices=("0.25", "0.5", "1", "2", "perfect"),
-                   help="beats per pooled interval, needs --beat-file (default 1); "
-                        "perfect pools the --ann segments")
+    p.add_argument("--beat-division", choices=(*features.BEAT_DIVISIONS, "perfect"),
+                   help=f"beats per pooled interval, needs --beat-file (default "
+                        f"{features.DEFAULT_BEAT_DIVISION}); perfect pools the --ann segments")
     p.add_argument("--ann", help="annotation file, --beat-division perfect only")
     p.set_defaults(func=cmd_predict)
 
@@ -380,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-align", help="feature/annotation alignment lag")
     p.add_argument("--features", required=True)
     p.add_argument("--ann", required=True)
-    p.add_argument("--window", type=int, default=50)
+    p.add_argument("--window", type=int, default=annotate.ALIGN_WINDOW_FRAMES)
     p.set_defaults(func=cmd_check_align)
 
     return parser

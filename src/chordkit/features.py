@@ -36,6 +36,8 @@ DEFAULT_FLOOR_DB = -80.0
 # the synthetic renderer's level at a chord's lowest octave, and its drop per octave
 RENDER_PEAK_DB = 0.0
 RENDER_ROLLOFF_DB = 6.0
+BEAT_DIVISIONS = ("0.25", "0.5", "1", "2")  # beats per pooled interval
+DEFAULT_BEAT_DIVISION = "1"
 
 
 @dataclass(frozen=True)
@@ -209,7 +211,7 @@ def load_beats(path) -> list[float]:
     return times
 
 
-def beat_intervals(beats: list[float], division: str = "1",
+def beat_intervals(beats: list[float], division: str = DEFAULT_BEAT_DIVISION,
                    duration: float | None = None) -> BeatIntervals:
     """Build pooled intervals from beat times.
 
@@ -221,6 +223,8 @@ def beat_intervals(beats: list[float], division: str = "1",
     """
     if not beats:
         raise EmptyBeatList("no beats")
+    if division not in BEAT_DIVISIONS:
+        raise ValueError(f"unknown beat division {division!r}")
     edges = [b for b in beats if duration is None or b <= duration + TIME_EPS]
     if not edges or edges[0] > 0:
         edges = [0.0] + edges
@@ -228,18 +232,16 @@ def beat_intervals(beats: list[float], division: str = "1",
         edges.append(duration)
 
     base = list(zip(edges, edges[1:]))
-    if division in ("0.25", "0.5"):
+    if division == "1":
+        out = base
+    elif division == "2":
+        out = [(base[i][0], base[min(i + 1, len(base) - 1)][1]) for i in range(0, len(base), 2)]
+    else:
         parts = 4 if division == "0.25" else 2
         out = []
         for start, end in base:
             step = (end - start) / parts
             out.extend((start + j * step, start + (j + 1) * step) for j in range(parts))
-    elif division == "1":
-        out = base
-    elif division == "2":
-        out = [(base[i][0], base[min(i + 1, len(base) - 1)][1]) for i in range(0, len(base), 2)]
-    else:
-        raise ValueError(f"unknown beat division {division!r}")
     return BeatIntervals(intervals=tuple(out))
 
 
@@ -260,13 +262,10 @@ def beat_pool(feat: FeatureMatrix, beats: BeatIntervals) -> FeatureMatrix:
     count = hi - lo
     if not count.any():
         raise EmptyBeatList("no interval contains a frame center")
-    # add each interval's rows to 0.0 in frame order, as mean(axis=0) does
-    owner = np.repeat(np.arange(len(count)), count)
-    frame = np.arange(len(owner)) + (lo - np.cumsum(count) + count)[owner]
-    sums = np.zeros((len(count), feat.n_bins), dtype=feat.data.dtype)
-    np.add.at(sums, owner, feat.data[frame])
-    means = sums / np.maximum(count, 1)[:, None]
-    # an empty interval takes the last filled row before it, else the first
+    means = np.empty((len(count), feat.n_bins), dtype=np.float32)
     filled = count > 0
+    for i in np.flatnonzero(filled):
+        means[i] = feat.data[lo[i]:hi[i]].mean(axis=0)
+    # an empty interval takes the last filled row before it, else the first
     source = np.maximum.accumulate(np.where(filled, np.arange(len(count)), np.argmax(filled)))
-    return replace(feat, data=means[source].astype(np.float32))
+    return replace(feat, data=means[source])

@@ -75,8 +75,8 @@ import numpy as np
 from . import vocab as vocab_mod
 from .annotate import frame_labels
 from .errors import (AllZeroCounts, BadCheckpoint, BadPosteriors, ChordkitError,
-                     DimensionMismatch, EmptyDataset, NonFiniteLoss, TargetOutOfRange,
-                     VocabularyMismatch)
+                     DimensionMismatch, EmptyDataset, LengthMismatch, NonFiniteLoss,
+                     TargetOutOfRange, VocabularyMismatch)
 from .features import FeatureMatrix, is_time_axis, pitch_shift_cqt
 from .vocab import Vocabulary, check_ids
 
@@ -86,9 +86,13 @@ N_AUX = N_ROOT_CLASSES + N_PITCH_CLASSES  # root and pitch-class logits
 SHIFT_CHOICES = (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6)
 COUNT_GUARD = 10.0
 VALIDATE_EVERY = 5  # epochs between validation passes; the last epoch always validates
+ARCHITECTURES = ("logistic", "hidden")
+DEFAULT_ARCH = ARCHITECTURES[0]
 DEFAULT_HIDDEN_UNITS, DEFAULT_CONTEXT = 64, 5  # the hidden architecture's sizes
 BLOCK_ROWS = 2048  # rows of a training block; a block holds at least one whole patch
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# the ModelParams fields a checkpoint's meta records, besides its version
+CHECKPOINT_FIELDS = ("arch", "n_bins", "n_classes", "hidden_units", "context", "vocab_hash")
 
 
 @dataclass
@@ -105,7 +109,7 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("epochs", "batch_size"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be an int >= 1, got {value!r}")
         for name in ("patch_seconds", "learning_rate"):
             value = getattr(self, name)
@@ -115,13 +119,13 @@ class TrainConfig:
             raise ValueError("shift_probability must lie in [0, 1]")
         if not 0 <= self.structured_gamma <= 1:
             raise ValueError("structured_gamma must lie in [0, 1]")
-        if self.weight_alpha < 0:
-            raise ValueError("weight_alpha must be non-negative")
+        if not (math.isfinite(self.weight_alpha) and self.weight_alpha >= 0):
+            raise ValueError(f"weight_alpha must be finite and >= 0, got {self.weight_alpha!r}")
 
 
 @dataclass
 class ModelParams:
-    arch: str  # "logistic" or "hidden"
+    arch: str  # one of ARCHITECTURES
     n_bins: int
     n_classes: int
     hidden_units: int = 0
@@ -624,7 +628,7 @@ def _fit(params: ModelParams, epoch_batches, weights: np.ndarray, cfg: TrainConf
     return best_params, history
 
 
-def train(dataset, val, cfg: TrainConfig, vocab: Vocabulary, arch: str = "logistic",
+def train(dataset, val, cfg: TrainConfig, vocab: Vocabulary, arch: str = DEFAULT_ARCH,
           hidden_units: int = DEFAULT_HIDDEN_UNITS, context: int = DEFAULT_CONTEXT):
     """Train a frame-wise classifier; returns (best_params, history).
 
@@ -652,16 +656,21 @@ def train(dataset, val, cfg: TrainConfig, vocab: Vocabulary, arch: str = "logist
                 weights, cfg, vocab, val, val_ids)
 
 
-def fit_rows(rows: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
-             vocab: Vocabulary, arch: str = "logistic", hidden_units: int = DEFAULT_HIDDEN_UNITS):
+def fit_rows(rows: np.ndarray, targets: np.ndarray, cfg: TrainConfig, vocab: Vocabulary,
+             arch: str = DEFAULT_ARCH, hidden_units: int = DEFAULT_HIDDEN_UNITS):
     """Train directly on feature rows (e.g. beat-pooled vectors).
 
-    Skips patch sampling and augmentation; one pass over shuffled rows per
-    epoch in batches of cfg.batch_size.
+    Skips patch sampling and augmentation, so cfg.shift_probability is not
+    read; one pass over shuffled rows per epoch in batches of cfg.batch_size.
+    Rows must be 2-D (else DimensionMismatch), one per target (LengthMismatch).
     """
     rows = np.asarray(rows)
     rows = rows.astype(np.promote_types(rows.dtype, np.float32), copy=False)
     targets = np.asarray(targets, dtype=np.int64)
+    if rows.ndim != 2:
+        raise DimensionMismatch(f"rows of shape {rows.shape} are not 2-D")
+    if len(rows) != len(targets):
+        raise LengthMismatch(f"{len(rows)} rows but {len(targets)} targets")
     if rows.size == 0:
         raise EmptyDataset("no rows to fit")
     params = _standardized_init(arch, [rows], vocab, cfg, hidden_units, context=0)
@@ -685,15 +694,7 @@ def evaluate(params: ModelParams, dataset, ids_per_song, weights, gamma, vocab):
 # --- checkpoints ---
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    meta = {
-        "version": 1,
-        "arch": params.arch,
-        "n_bins": params.n_bins,
-        "n_classes": params.n_classes,
-        "hidden_units": params.hidden_units,
-        "context": params.context,
-        "vocab_hash": params.vocab_hash,
-    }
+    meta = {"version": 1, **{name: getattr(params, name) for name in CHECKPOINT_FIELDS}}
     arrays = {f"w_{k}": v.astype(np.float32) for k, v in params.weights.items()}
     np.savez(path, meta=json.dumps(meta, sort_keys=True),
              mean=params.mean.astype(np.float32),
@@ -739,10 +740,7 @@ def load_checkpoint(path) -> ModelParams:
     """
     arrays, meta = _read_archive(path, BadCheckpoint)
     try:
-        params = ModelParams(arch=meta["arch"], n_bins=meta["n_bins"],
-                             n_classes=meta["n_classes"],
-                             hidden_units=meta["hidden_units"],
-                             context=meta["context"], vocab_hash=meta["vocab_hash"])
+        params = ModelParams(**{name: meta[name] for name in CHECKPOINT_FIELDS})
     except KeyError as exc:
         raise BadCheckpoint(f"{path}: missing {exc}") from None
     sizes = (params.n_bins, params.n_classes, params.hidden_units, params.context)
@@ -801,7 +799,7 @@ def load_posteriors(path, vocab: Vocabulary):
     check_vocabulary("posteriors", post.shape[1], vocab_hash, vocab)
     if post.dtype.kind != "f" or not np.isfinite(post).all():
         raise BadPosteriors(f"{path}: posteriors are not finite floats")
-    if not isinstance(hop, (int, float)) or not math.isfinite(hop) or hop <= 0:
+    if type(hop) not in (int, float) or not math.isfinite(hop) or hop <= 0:
         raise BadPosteriors(f"{path}: hop {hop!r} is not a positive number")
     intervals = arrays.get("intervals")
     if intervals is not None and (intervals.shape != (len(post), 2)

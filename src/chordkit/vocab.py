@@ -295,9 +295,11 @@ def load_manifest(path) -> Vocabulary:
     return Vocabulary(tuple(names), tuple(templates), reduce_to_majmin=reduce_line[1] == "1")
 
 
+VOCABULARIES = {170: vocabulary_170, 26: vocabulary_26}  # size -> constructor
+
+
 def get_vocabulary(size: int) -> Vocabulary:
-    if size == 170:
-        return vocabulary_170()
-    if size == 26:
-        return vocabulary_26()
-    raise ValueError(f"unsupported vocabulary size {size}; expected 170 or 26")
+    if size not in VOCABULARIES:
+        raise ValueError(f"unsupported vocabulary size {size}; "
+                         f"expected {' or '.join(map(str, VOCABULARIES))}")
+    return VOCABULARIES[size]()

@@ -108,6 +108,15 @@ class TestFileIO:
         assert [(s, e, harte.format_chord(l)) for s, e, l in loaded.segments] == \
             [(s, e, harte.format_chord(l)) for s, e, l in ann.segments]
 
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "blank.tsv"
+        path.write_text("0.0\t1.0\tC:maj\n\n \t\n1.0\t2.0\tG:maj\n", encoding="utf-8")
+        assert [(s, e) for s, e, _ in load_annotation(path).segments] == [(0.0, 1.0), (1.0, 2.0)]
+        path.write_text("0.0\t1.0\tC:maj\n\n1.0\t2.0\n", encoding="utf-8")
+        with pytest.raises(MalformedLine) as exc:
+            load_annotation(path)
+        assert exc.value.line_no == 3
+
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("0.0\t1.0\tC:maj\n1.0\t2.0\n", encoding="utf-8")

@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from chordkit import errors
-from chordkit.cli import main
+from chordkit import annotate, errors, features, metrics, model, synthgen
+from chordkit.cli import build_parser, main
 
 
 def run(argv):
@@ -108,6 +108,7 @@ class TestTrain:
     @pytest.mark.parametrize("argv", [
         ["--epochs", "0"], ["--epochs", "-2"], ["--patch-seconds", "0"],
         ["--learning-rate", "-1"], ["--learning-rate", "nan"], ["--batch-size", "0"],
+        ["--alpha", "nan"], ["--alpha", "inf"],
         ["--arch", "hidden", "--hidden-units", "0"], ["--arch", "hidden", "--context", "-1"],
     ], ids=lambda argv: " ".join(argv))
     def test_number_training_cannot_use_exits_one(self, dataset, tmp_path, capsys, argv):
@@ -528,6 +529,21 @@ class TestReport:
         assert float(sus4["acc"]) == float(sus4["root"]) == 100.0
         assert float(major["seventh"]) == float(major["majmin"]) == 100.0
 
+    def test_per_song_error_other_than_undefined_fails(self, dataset, tmp_path, capsys,
+                                                         monkeypatch):
+        wcsr = metrics.wcsr
+
+        def failing_wcsr(kind, songs, vocab):
+            if kind is metrics.MetricKind.SEVENTH and len(songs) == 1:
+                raise errors.LengthMismatch("a comparator that fails, not one undefined")
+            return wcsr(kind, songs, vocab)
+
+        monkeypatch.setattr(metrics, "wcsr", failing_wcsr)
+        capsys.readouterr()
+        assert run(["report", "--ref-dir", dataset, "--est-dir", dataset,
+                    "--out", tmp_path / "r"]) == 1
+        assert _one_json_error(capsys)["error"] == "LengthMismatch"
+
     def test_eval_scores_early_ending_estimate_like_report(self, dataset, tmp_path, capsys):
         """An estimate cut at 5 s of a 10 s song reads as N for the rest, in
         eval as in report."""
@@ -613,6 +629,27 @@ class TestCheckAlign:
         assert run(["check-align", "--features", tmp_path / "song_0000.cqtf",
                     "--ann", tmp_path / "song_0000.tsv"]) == 0
         assert capsys.readouterr().out.strip() == "0"
+
+
+class TestLibraryDefaults:
+    """Defaults the CLI takes from the library."""
+
+    def test_train_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["train", "--data", "d", "--out", "o"])
+        cfg = model.TrainConfig()
+        assert (args.epochs, args.batch_size, args.patch_seconds, args.learning_rate,
+                args.alpha, args.gamma, args.shift_prob, args.arch) == (
+            cfg.epochs, cfg.batch_size, cfg.patch_seconds, cfg.learning_rate,
+            cfg.weight_alpha, cfg.structured_gamma, cfg.shift_probability, model.DEFAULT_ARCH)
+        assert type(args.epochs) is int and type(args.learning_rate) is float
+
+    def test_synth_and_check_align_defaults(self):
+        parser = build_parser()
+        synth = parser.parse_args(["synth", "--out", "o"])
+        assert synth.duration == synthgen.ProgressionConfig().duration
+        assert synth.noise == features.RenderParams().noise_db
+        align = parser.parse_args(["check-align", "--features", "f", "--ann", "a"])
+        assert align.window == annotate.ALIGN_WINDOW_FRAMES
 
 
 class TestArgErrors:

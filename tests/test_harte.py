@@ -109,6 +109,11 @@ class TestPitchClassSet:
         with pytest.raises(UnknownDegree):
             harte.degree_to_semitone(bad)
 
+    @pytest.mark.parametrize("label", ["N", "X"])
+    def test_no_sounding_chord_has_no_relative_pitch_classes(self, label):
+        with pytest.raises(MalformedChord):
+            harte.relative_pitch_classes(parse_chord(label))
+
 
 class TestTranspose:
     def test_identity(self):

@@ -11,12 +11,13 @@ from chordkit import model as model_mod
 from chordkit.annotate import transpose_annotation
 from chordkit.decode import DecoderConfig, viterbi_smooth
 from chordkit.errors import (AllZeroCounts, BadCheckpoint, BadPosteriors, ChordkitError,
-                             DimensionMismatch, EmptyDataset, NonFiniteLoss, TargetOutOfRange)
+                             DimensionMismatch, EmptyDataset, LengthMismatch, NonFiniteLoss,
+                             TargetOutOfRange)
 from chordkit.features import FeatureMatrix
-from chordkit.model import (N_ROOT_CLASSES, TrainConfig, _column_moments, _forward_raw,
-                            _loss_and_grads, _patch_batches, _window_grad, _window_matmul,
-                            class_weights, cosine_lr, dataset_frame_ids, evaluate, expected_counts,
-                            fit_rows, forward, init_params, load_checkpoint,
+from chordkit.model import (CHECKPOINT_FIELDS, N_ROOT_CLASSES, TrainConfig, _column_moments,
+                            _forward_raw, _loss_and_grads, _patch_batches, _window_grad,
+                            _window_matmul, class_weights, cosine_lr, dataset_frame_ids, evaluate,
+                            expected_counts, fit_rows, forward, init_params, load_checkpoint,
                             load_posteriors, loss_and_grads, pitch_targets,
                             predict_frames, root_targets, save_checkpoint,
                             save_posteriors, standardize, total_loss, train)
@@ -286,6 +287,12 @@ class TestLoss:
         expected = total_loss(sub, y[:3], np.ones(26), 0.5, V26)
         assert half == pytest.approx(expected)
         assert half != pytest.approx(full)
+
+    def test_all_masked_batch_rejected(self):
+        params = init_params("logistic", 4, V26)
+        with pytest.raises(EmptyDataset):
+            loss_and_grads(params, np.zeros((3, 4)), np.zeros(3, dtype=int), np.ones(26), 0.5,
+                           V26, mask=np.zeros(3, dtype=bool))
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 40), dtype=st.sampled_from([np.float32, np.float64]),
@@ -660,6 +667,16 @@ class TestTrain:
         preds = predict_frames(params, rows)
         assert (preds == y).mean() > 0.95
 
+    @pytest.mark.parametrize("rows, n_targets, error", [
+        (np.zeros(10), 10, DimensionMismatch),
+        (np.zeros((10, 2, 3)), 10, DimensionMismatch),
+        (np.zeros((10, 6)), 12, LengthMismatch),
+        (np.zeros((10, 6)), 8, LengthMismatch),
+    ], ids=["1-d", "3-d", "more-targets", "fewer-targets"])
+    def test_fit_rows_refuses_rows_it_cannot_pair(self, rows, n_targets, error):
+        with pytest.raises(error):
+            fit_rows(rows, np.zeros(n_targets, dtype=int), TrainConfig(epochs=1), V26)
+
 
 def _fit_train(songs, cfg, arch):
     return train(songs[:2], songs[2:], cfg, V26, arch=arch, hidden_units=6, context=1)
@@ -728,6 +745,8 @@ class TestConfig:
         {"batch_size": 0}, {"batch_size": 8.0},
         {"patch_seconds": 0.0}, {"patch_seconds": math.inf},
         {"learning_rate": -1.0}, {"learning_rate": math.nan},
+        {"weight_alpha": math.nan}, {"weight_alpha": math.inf},
+        {"epochs": True}, {"batch_size": True},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -817,6 +836,27 @@ class TestCheckpoint:
         except ChordkitError:
             pass
 
+    def test_meta_holds_the_version_and_each_field(self, tmp_path):
+        params = init_params("hidden", 8, V26, hidden_units=4, context=2, seed=9)
+        save_checkpoint(params, tmp_path / "model.npz")
+        with np.load(tmp_path / "model.npz") as data:
+            meta = json.loads(str(data["meta"]))
+        assert meta == {"version": 1, "arch": "hidden", "n_bins": 8, "n_classes": V26.size,
+                        "hidden_units": 4, "context": 2, "vocab_hash": params.vocab_hash}
+
+    @pytest.mark.parametrize("first", range(len(CHECKPOINT_FIELDS)))
+    def test_first_missing_field_is_named(self, tmp_path, first):
+        path = tmp_path / "model.npz"
+        save_checkpoint(init_params("logistic", 8, V26), path)
+        with np.load(path) as data:
+            stored = {k: data[k] for k in data.files}
+        meta = json.loads(str(stored["meta"]))
+        stored["meta"] = json.dumps({k: v for k, v in meta.items()
+                                     if k not in CHECKPOINT_FIELDS[first:]})
+        np.savez(path, **stored)
+        with pytest.raises(BadCheckpoint, match=f"missing '{CHECKPOINT_FIELDS[first]}'"):
+            load_checkpoint(path)
+
 
 class TestPosteriorsFile:
     def test_round_trip_keeps_time_grid(self, tmp_path):
@@ -843,11 +883,12 @@ class TestPosteriorsFile:
         ((), {"hop": -0.1}, {}),
         ((), {"hop": "0.1"}, {}),
         ((), {"hop": [0.1]}, {}),
+        ((), {"hop": True}, {}),
         ((), {}, {"intervals": np.array([0.0, 0.5, 1.0])}),
         ((), {}, {"intervals": np.array([[0.0, 0.5], [0.5, 1.0]])}),
         ((), {}, {"intervals": np.array([[0, 1], [1, 2], [2, 3]])}),
     ], ids=["no-posteriors", "no-hop", "int-posteriors", "nan-posteriors", "inf-posteriors",
-            "zero-hop", "negative-hop", "str-hop", "list-hop", "flat-intervals",
+            "zero-hop", "negative-hop", "str-hop", "list-hop", "bool-hop", "flat-intervals",
             "too-few-intervals", "int-intervals"])
     def test_malformed_file_rejected(self, tmp_path, drop, meta, arrays):
         """``drop`` names arrays or meta fields to leave out."""
