@@ -33,6 +33,7 @@ DEFAULT_SR = 44100
 DEFAULT_HOP_SAMPLES = 4096
 DEFAULT_HOP = DEFAULT_HOP_SAMPLES / DEFAULT_SR
 TIME_EPS = 1e-9  # seconds within which two times count as one
+TIME_DECIMALS = 6  # decimals of the times in a label file
 ALIGN_WINDOW_FRAMES = 50  # lags tried on each side by alignment_lag
 
 
@@ -95,9 +96,9 @@ def fill_gaps(segments, duration=None) -> Annotation:
     elif duration > cursor + TIME_EPS:
         filled.append((cursor, duration, harte.NO_CHORD))
     elif duration < cursor:
-        # annotation files carry microsecond precision, so a stated duration
+        # annotation files carry TIME_DECIMALS decimals, so a stated duration
         # may round to just under the last segment end
-        if duration < cursor - 1e-6:
+        if duration < cursor - 10.0 ** -TIME_DECIMALS:
             raise NonMonotoneTimes(
                 f"duration {duration} shorter than last segment end {cursor}")
         duration = cursor
@@ -150,9 +151,21 @@ def load_annotation(path, duration=None) -> Annotation:
 
 
 def save_annotation(ann: Annotation, path) -> None:
+    """Write a label file with TIME_DECIMALS decimals per time.
+
+    Every time is formatted first: a segment whose written times
+    :func:`load_annotation` would refuse (an end not after its start, or an
+    overlap) raises NonMonotoneTimes before the file is opened."""
+    lines, prev_end = [], 0.0
+    for start, end, label in ann.segments:
+        start_text, end_text = f"{start:.{TIME_DECIMALS}f}", f"{end:.{TIME_DECIMALS}f}"
+        if float(end_text) <= float(start_text) or float(start_text) < prev_end - TIME_EPS:
+            raise NonMonotoneTimes(f"segment ({start}, {end}) would be written as "
+                                   f"({start_text}, {end_text}), which does not load")
+        prev_end = float(end_text)
+        lines.append(f"{start_text}\t{end_text}\t{harte.format_chord(label)}\n")
     with open(path, "w", encoding="utf-8") as fh:
-        for start, end, label in ann.segments:
-            fh.write(f"{start:.6f}\t{end:.6f}\t{harte.format_chord(label)}\n")
+        fh.writelines(lines)
 
 
 def transpose_annotation(ann: Annotation, k: int) -> Annotation:

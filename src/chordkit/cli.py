@@ -225,6 +225,15 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _score(kind: MetricKind, songs, vocab):
+    """WCSR over ``songs`` rounded to 4 places, or None where the comparator
+    is undefined on all of them: an empty CSV cell, ``null`` in JSON."""
+    try:
+        return round(metrics.wcsr(kind, songs, vocab), 4)
+    except ZeroDefinedTime:
+        return None
+
+
 def cmd_report(args) -> int:
     vocab = get_vocabulary(args.vocab)
     ref_dir, est_dir = Path(args.ref_dir), Path(args.est_dir)
@@ -244,36 +253,33 @@ def cmd_report(args) -> int:
         frame_pairs.append((ref_ids, est_ids))
         row = {"song": name}
         for kind in MetricKind:
-            try:
-                row[kind.value] = round(metrics.wcsr(kind, [(ref_path, est_path)], vocab), 4)
-            except ZeroDefinedTime:
-                row[kind.value] = ""
+            row[kind.value] = _score(kind, [(ref_path, est_path)], vocab)
         row["transitions_est"] = decode.count_transitions(est_ids)
         row["transitions_ref"] = decode.count_transitions(ref_ids)
         per_song.append(row)
 
+    # every score is computed before any file is written
+    mean_scores = {kind.value: _score(kind, songs, vocab) for kind in MetricKind}
+    acc_class, median_class, table = metrics.class_wise_scores(MetricKind.ACC, songs, vocab)
+    confusions = {axis: metrics.confusion_matrix(axis, frame_pairs, vocab, row_normalize=True)
+                  for axis in ("quality", "root")}
+    lengths = Counter(length for ref_ids, est_ids in frame_pairs
+                      for _, length, _ in decode.incorrect_regions(est_ids, ref_ids))
+
     out_dir = _out_dir(args)
     _write_csv(out_dir / "per_song.csv", list(per_song[0]),
                [row.values() for row in per_song])
-
-    mean_scores = {kind.value: metrics.wcsr(kind, songs, vocab) for kind in MetricKind}
-    acc_class, median_class, table = metrics.class_wise_scores(MetricKind.ACC, songs, vocab)
     _write_json(out_dir / "report.json", {
         "songs": len(songs),
-        "wcsr": {k: round(v, 4) for k, v in mean_scores.items()},
+        "wcsr": mean_scores,
         "acc_class": round(acc_class, 4),
         "median_class": round(median_class, 4),
         "per_class": {str(c): round(v, 4) for c, v in table.items()},
     })
-
-    for axis in ("quality", "root"):
-        cm = metrics.confusion_matrix(axis, frame_pairs, vocab, row_normalize=True)
+    for axis, cm in confusions.items():
         labels = metrics.quality_axis(vocab) if axis == "quality" else metrics.root_axis()
         _write_csv(out_dir / f"confusion_{axis}.csv", [""] + labels,
                    ([label] + [f"{v:.6f}" for v in row] for label, row in zip(labels, cm)))
-
-    lengths = Counter(length for ref_ids, est_ids in frame_pairs
-                      for _, length, _ in decode.incorrect_regions(est_ids, ref_ids))
     _write_csv(out_dir / "incorrect_region_lengths.csv", ["length", "count"],
                sorted(lengths.items()))
 
@@ -291,8 +297,8 @@ def cmd_augment(args) -> int:
     transposed = annotate.transpose_annotation(ann, args.shift)
     out_dir = _out_dir(args)
     stem = Path(args.features).stem + f"_shift{args.shift:+d}"
-    features.save_features(shifted, out_dir / f"{stem}.cqtf")
     annotate.save_annotation(transposed, out_dir / f"{stem}.tsv")
+    features.save_features(shifted, out_dir / f"{stem}.cqtf")
     _write_manifest(out_dir, "augment", args, [args.features, args.ann],
                     [f"{stem}.cqtf", f"{stem}.tsv"])
     _log(f"shifted by {args.shift} semitones -> {out_dir / stem}.*")

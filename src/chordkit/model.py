@@ -135,6 +135,19 @@ class ModelParams:
     std: np.ndarray | None = None
     vocab_hash: str = ""
 
+    def __post_init__(self):
+        """The one rule for which models exist: ValueError for any other."""
+        sizes = (self.n_bins, self.n_classes, self.hidden_units, self.context)
+        if self.arch not in ARCHITECTURES:
+            raise ValueError(f"unknown architecture {self.arch!r}")
+        if not all(type(size) is int for size in sizes) or min(sizes[:2]) < 1:
+            raise ValueError(f"sizes {sizes} are not ints with n_bins and n_classes >= 1")
+        got = f"got hidden_units {self.hidden_units} and context {self.context}"
+        if self.arch == "hidden" and not (self.hidden_units >= 1 and self.context >= 0):
+            raise ValueError(f"a hidden model needs hidden_units >= 1 and context >= 0, {got}")
+        if self.arch == "logistic" and (self.hidden_units or self.context):
+            raise ValueError(f"a logistic model needs hidden_units and context 0, {got}")
+
     @property
     def dtype(self) -> np.dtype:
         """The dtype the model computes in: that of its weights."""
@@ -142,9 +155,7 @@ class ModelParams:
 
     @property
     def input_dim(self) -> int:
-        if self.arch == "hidden":
-            return self.n_bins * (2 * self.context + 1)
-        return self.n_bins
+        return self.n_bins * (2 * self.context + 1)
 
     @property
     def weight_shapes(self) -> dict[str, tuple[int, ...]]:
@@ -154,22 +165,16 @@ class ModelParams:
         if self.arch == "logistic":
             return {"Wc": (d, C), "bc": (C,), "Wr": (d, N_ROOT_CLASSES), "br": (N_ROOT_CLASSES,),
                     "Wp": (d, N_PITCH_CLASSES), "bp": (N_PITCH_CLASSES,)}
-        if self.arch == "hidden":
-            return {"W1": (d, h), "b1": (h,), "Wr": (h, N_ROOT_CLASSES), "br": (N_ROOT_CLASSES,),
-                    "Wp": (h, N_PITCH_CLASSES), "bp": (N_PITCH_CLASSES,),
-                    "W2": (h + N_AUX, C), "b2": (C,)}
-        raise ValueError(f"unknown architecture {self.arch!r}")
+        return {"W1": (d, h), "b1": (h,), "Wr": (h, N_ROOT_CLASSES), "br": (N_ROOT_CLASSES,),
+                "Wp": (h, N_PITCH_CLASSES), "bp": (N_PITCH_CLASSES,),
+                "W2": (h + N_AUX, C), "b2": (C,)}
 
 
 def init_params(arch: str, n_bins: int, vocab: Vocabulary,
                 hidden_units: int = DEFAULT_HIDDEN_UNITS, context: int = DEFAULT_CONTEXT,
                 seed: int = 0, scale: float = 0.01) -> ModelParams:
-    if arch == "hidden" and not (hidden_units >= 1 and context >= 0):
-        raise ValueError(f"the hidden architecture needs hidden_units >= 1 and context >= 0, "
-                         f"got {hidden_units} and {context}")
     rng = np.random.default_rng(seed)
-    C = vocab.size
-    params = ModelParams(arch=arch, n_bins=n_bins, n_classes=C,
+    params = ModelParams(arch=arch, n_bins=n_bins, n_classes=vocab.size,
                          hidden_units=hidden_units if arch == "hidden" else 0,
                          context=context if arch == "hidden" else 0,
                          vocab_hash=vocab_mod.manifest_hash(vocab))
@@ -640,10 +645,11 @@ def train(dataset, val, cfg: TrainConfig, vocab: Vocabulary, arch: str = DEFAULT
     if not dataset:
         raise EmptyDataset("empty training set")
     n_bins = dataset[0][0].n_bins
-    for i, (feat, _) in enumerate(dataset):
-        if feat.n_bins != n_bins:
-            raise DimensionMismatch(f"training song {i} has {feat.n_bins} bins; "
-                                    f"song 0 has {n_bins}")
+    for what, songs in (("training", dataset), ("validation", val)):
+        for i, (feat, _) in enumerate(songs):
+            if feat.n_bins != n_bins:
+                raise DimensionMismatch(f"{what} song {i} has {feat.n_bins} bins; "
+                                        f"song 0 has {n_bins}")
     params = _standardized_init(arch, [feat.data for feat, _ in dataset], vocab, cfg,
                                 hidden_units, context)
 
@@ -701,12 +707,12 @@ def save_checkpoint(params: ModelParams, path) -> None:
              std=params.std.astype(np.float32), **arrays)
 
 
-def _read_archive(path, error: type[ChordkitError]):
-    """Arrays and parsed JSON ``meta`` of an ``.npz`` archive.
+def _read_archive(path, error: type[ChordkitError], fields):
+    """Arrays of an ``.npz`` archive and a dict of the ``fields`` of its JSON meta.
 
-    Raises ``error`` for a file numpy cannot read as an archive (a bare
-    array, an empty or garbled file) and for a missing or non-JSON meta.
-    """
+    Raises ``error`` for a file numpy cannot read as an archive (a bare array,
+    an empty or garbled file), for a missing or non-JSON meta, and naming the
+    first of ``fields`` the meta lacks."""
     with open(path, "rb") as fh:
         try:
             loaded = np.load(fh, allow_pickle=False)
@@ -726,41 +732,37 @@ def _read_archive(path, error: type[ChordkitError]):
         raise error(f"{path}: meta is not JSON ({exc})") from None
     if not isinstance(meta, dict) or meta.get("version") != 1:
         raise error(f"{path}: unsupported version")
-    return arrays, meta
+    for name in fields:
+        if name not in meta:
+            raise error(f"{path}: missing {name!r}")
+    return arrays, {name: meta[name] for name in fields}
 
 
 def load_checkpoint(path) -> ModelParams:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     Raises BadCheckpoint when the file is not a readable archive, when the
-    metadata is missing, is not JSON or lacks a field, when a size in it is
-    not an int >= 0, when an array the architecture needs is missing, has
-    another shape than the sizes give or holds a non-finite value, or when
-    a ``std`` entry is not positive.
+    metadata is missing, is not JSON, lacks a field or names a model that
+    :class:`ModelParams` refuses, when an array the architecture needs is
+    missing, is not float32 of the shape the sizes give or holds a
+    non-finite value, or when a ``std`` entry is not positive.
     """
-    arrays, meta = _read_archive(path, BadCheckpoint)
+    arrays, meta = _read_archive(path, BadCheckpoint, CHECKPOINT_FIELDS)
     try:
-        params = ModelParams(**{name: meta[name] for name in CHECKPOINT_FIELDS})
-    except KeyError as exc:
-        raise BadCheckpoint(f"{path}: missing {exc}") from None
-    sizes = (params.n_bins, params.n_classes, params.hidden_units, params.context)
-    if not all(type(size) is int and size >= 0 for size in sizes):
-        raise BadCheckpoint(f"{path}: sizes {sizes} are not all ints >= 0")
-    try:
-        shapes = {"mean": (params.n_bins,), "std": (params.n_bins,),
-                  **{f"w_{name}": shape for name, shape in params.weight_shapes.items()}}
-    except ValueError as exc:  # an unknown architecture
+        params = ModelParams(**meta)
+    except ValueError as exc:
         raise BadCheckpoint(f"{path}: {exc}") from None
+    shapes = {"mean": (params.n_bins,), "std": (params.n_bins,),
+              **{f"w_{name}": shape for name, shape in params.weight_shapes.items()}}
     missing = sorted(set(shapes) - set(arrays))
     if missing:
         raise BadCheckpoint(f"{path}: missing arrays {missing}")
     for key, shape in shapes.items():
         array = arrays[key]
-        if array.shape != shape or array.dtype.kind not in "biuf":
+        if array.shape != shape or array.dtype != np.float32:
             raise BadCheckpoint(f"{path}: {key} is {array.dtype} {array.shape}; "
-                                f"the sizes give {shape}")
-        arrays[key] = array.astype(np.float32, copy=False)
-        if not np.isfinite(arrays[key]).all():
+                                f"the sizes give float32 {shape}")
+        if not np.isfinite(array).all():
             raise BadCheckpoint(f"{path}: {key} holds a non-finite value")
     if not (arrays["std"] > 0).all():
         raise BadCheckpoint(f"{path}: std holds a value <= 0")
@@ -789,11 +791,10 @@ def load_posteriors(path, vocab: Vocabulary):
     differs from ``vocab`` (:func:`check_vocabulary`), and BadPosteriors for
     anything else that is not a 2-D posteriorgram on a valid time grid.
     """
-    arrays, meta = _read_archive(path, BadPosteriors)
-    try:
-        post, hop, vocab_hash = arrays["posteriors"], meta["hop"], meta["vocab_hash"]
-    except KeyError as exc:
-        raise BadPosteriors(f"{path}: missing {exc}") from None
+    arrays, meta = _read_archive(path, BadPosteriors, ("hop", "vocab_hash"))
+    if "posteriors" not in arrays:
+        raise BadPosteriors(f"{path}: missing 'posteriors'")
+    post, hop, vocab_hash = arrays["posteriors"], meta["hop"], meta["vocab_hash"]
     if post.ndim != 2:
         raise BadPosteriors(f"{path}: posteriors of shape {post.shape} are not 2-D")
     check_vocabulary("posteriors", post.shape[1], vocab_hash, vocab)

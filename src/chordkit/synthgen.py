@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .annotate import TIME_EPS, Annotation
+from .annotate import TIME_DECIMALS, TIME_EPS, Annotation
 from .errors import MissingQuality
 from .harte import ChordKind, ChordLabel
 from .vocab import Vocabulary, check_ids
@@ -116,7 +116,10 @@ def realize_timing(chords: list[ChordLabel], cfg: ProgressionConfig,
     segments = []
     t, i = 0.0, 0
     while t < cfg.duration - TIME_EPS:
-        end = min(t + bar, cfg.duration)
+        end = t + bar
+        # a tail shorter than a label file's time step joins the chord before it
+        if end > cfg.duration - 10.0 ** -TIME_DECIMALS:
+            end = cfg.duration
         segments.append((t, end, chords[i % len(chords)]))
         t = end
         i += 1

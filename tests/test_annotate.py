@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from chordkit import harte
-from chordkit.annotate import (DEFAULT_HOP, Annotation, FrameGrid,
+from chordkit.annotate import (DEFAULT_HOP, TIME_DECIMALS, Annotation, FrameGrid,
                                alignment_lag, feature_derivative_signal, fill_gaps,
                                frame_labels, grid_for, interval_labels,
                                load_annotation, n_frames_for, save_annotation,
@@ -171,6 +171,24 @@ class TestFileIO:
         path.write_bytes(b"0.0\t1.0\tC:maj\r\n1.0\t2.0\tG:maj\r1.0\t0.5\tC:maj")
         with pytest.raises(NonMonotoneTimes, match="line 3"):
             load_annotation(path)
+
+    @pytest.mark.parametrize("rows", [
+        [(0.0, 4e-7, "B:maj7"), (4e-7, 1.0, "C:maj")],
+        [(0.0, 1.8715922, "C:maj"), (1.8715922, 1.8715923, "B:min7")],
+        # within TIME_EPS of the previous end, but a whole step before it once written
+        [(0.0, 1.0000005003, "C:maj"), (1.0000004998, 2.0, "G:maj")],
+    ], ids=["rounds-to-nothing-at-0", "rounds-to-nothing-at-end", "overlaps-once-written"])
+    def test_segment_that_would_not_load_is_refused_and_nothing_written(self, tmp_path, rows):
+        path = tmp_path / "song.tsv"
+        with pytest.raises(NonMonotoneTimes, match="does not load"):
+            save_annotation(make_ann(rows), path)
+        assert not path.exists()
+
+    def test_times_carry_the_label_file_decimals(self, tmp_path):
+        save_annotation(make_ann([(0.0, 1.0 / 3.0, "C:maj"), (1.0 / 3.0, 2.0, "N")]),
+                        tmp_path / "song.tsv")
+        assert (tmp_path / "song.tsv").read_text().split("\t")[:2] == \
+            ["0." + "0" * TIME_DECIMALS, "0." + "3" * TIME_DECIMALS]
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -5,8 +5,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from chordkit import annotate, errors, features, metrics, model, synthgen
+from chordkit import annotate, cli, errors, features, metrics, model, synthgen
 from chordkit.cli import build_parser, main
 
 
@@ -529,6 +530,31 @@ class TestReport:
         assert float(sus4["acc"]) == float(sus4["root"]) == 100.0
         assert float(major["seventh"]) == float(major["majmin"]) == 100.0
 
+    def test_comparator_undefined_on_every_song_is_null(self, tmp_path):
+        """seventh and majmin are undefined on sus4: blank cells and null
+        pooled scores, computed before any file is written."""
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        (ref / "a.tsv").write_text("0.000000\t4.000000\tC:sus4\n4.000000\t8.000000\tG:sus4\n")
+        out = tmp_path / "report"
+        assert run(["report", "--ref-dir", ref, "--est-dir", ref, "--out", out]) == 0
+        wcsr = json.loads((out / "report.json").read_text())["wcsr"]
+        assert wcsr["seventh"] is None and wcsr["majmin"] is None
+        assert wcsr["acc"] == wcsr["root"] == 100.0
+        with open(out / "per_song.csv", newline="", encoding="utf-8") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["seventh"] == row["majmin"] == ""
+
+    def test_acc_undefined_on_every_song_writes_nothing(self, tmp_path, capsys):
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        (ref / "a.tsv").write_text("0.000000\t4.000000\tX\n")
+        capsys.readouterr()
+        assert run(["report", "--ref-dir", ref, "--est-dir", ref,
+                    "--out", tmp_path / "report"]) == 1
+        assert _one_json_error(capsys)["error"] == "ZeroDefinedTime"
+        assert not (tmp_path / "report").exists()
+
     def test_per_song_error_other_than_undefined_fails(self, dataset, tmp_path, capsys,
                                                          monkeypatch):
         wcsr = metrics.wcsr
@@ -563,6 +589,96 @@ class TestReport:
         assert run(["eval", "--ref", dataset / "song_0000.tsv", "--est", est / "song_0000.tsv",
                     "--metric", "root"]) == 0
         assert capsys.readouterr().out.strip() == f"{float(row['root']):.1f}" == "50.0"
+
+
+class TestLabelFilesLoad:
+    """No command exits 0 having written a label file that load_annotation refuses."""
+
+    def test_predict_refuses_a_row_that_rounds_to_nothing(self, dataset, trained, tmp_path,
+                                                           capsys):
+        beats = tmp_path / "beats.txt"
+        beats.write_text("0\n0.0000004\n1\n2\n")
+        capsys.readouterr()
+        assert run(["predict", "--model", trained / "model.npz",
+                    "--features", dataset / "song_0000.cqtf", "--beat-file", beats,
+                    "--out", tmp_path / "pred"]) == 1
+        assert _one_json_error(capsys)["error"] == "NonMonotoneTimes"
+        assert not (tmp_path / "pred" / "labels.tsv").exists()
+        assert not (tmp_path / "pred" / "posteriors.npz").exists()
+
+    def test_smooth_refuses_a_row_that_rounds_to_nothing(self, tmp_path, capsys):
+        from chordkit.vocab import manifest_hash, vocabulary_170
+        post = tmp_path / "post.npz"
+        model.save_posteriors(post, np.full((3, 170), 1.0 / 170), manifest_hash(vocabulary_170()),
+                              0.1, [(0.0, 4e-7), (4e-7, 1.0), (1.0, 2.0)])
+        capsys.readouterr()
+        assert run(["smooth", "--post", post, "--out", tmp_path / "s"]) == 1
+        assert _one_json_error(capsys)["error"] == "NonMonotoneTimes"
+        assert not (tmp_path / "s" / "labels.tsv").exists()
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(steps=st.lists(st.one_of(st.floats(1e-8, 2e-6), st.floats(0.01, 3.0)),
+                          min_size=1, max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pooled_rows_are_written_whole_or_not_at_all(self, tmp_path, steps, seed):
+        """Rows with sub-microsecond intervals: either the label file loads
+        back as the rows rounded to its decimals, or NonMonotoneTimes is
+        raised and no file is left."""
+        from chordkit.vocab import id_label, vocabulary_26
+        vocab = vocabulary_26()
+        bounds = np.concatenate(([0.0], np.cumsum(steps)))
+        intervals = np.column_stack((bounds[:-1], bounds[1:]))
+        ids = np.random.default_rng(seed).integers(0, vocab.size, len(steps))
+        rounded = [(round(start, annotate.TIME_DECIMALS), round(end, annotate.TIME_DECIMALS))
+                   for start, end in intervals.tolist()]
+        out = tmp_path / "labels.tsv"
+        out.unlink(missing_ok=True)
+        if all(end > start for start, end in rounded):
+            cli._write_labels(ids, 0.1, intervals, vocab, out)
+            assert annotate.load_annotation(out).segments == tuple(
+                (start, end, id_label(int(cid), vocab)) for (start, end), cid in zip(rounded, ids))
+        else:
+            with pytest.raises(errors.NonMonotoneTimes):
+                cli._write_labels(ids, 0.1, intervals, vocab, out)
+            assert not out.exists()
+
+    def test_augment_refuses_a_segment_that_rounds_to_nothing(self, dataset, tmp_path, capsys):
+        ann = tmp_path / "tiny.tsv"
+        ann.write_text("0.0\t0.0000004\tC:maj\n0.0000004\t10.0\tG:maj\n")
+        capsys.readouterr()
+        assert run(["augment", "--features", dataset / "song_0000.cqtf", "--ann", ann,
+                    "--shift", 2, "--out", tmp_path / "aug"]) == 1
+        assert _one_json_error(capsys)["error"] == "NonMonotoneTimes"
+        assert list((tmp_path / "aug").iterdir()) == []
+
+    def test_synth_never_writes_a_tail_that_rounds_to_nothing(self, tmp_path, capsys):
+        assert run(["synth", "--n", 1, "--seed", 7, "--duration", 1.8715923,
+                    "--out", tmp_path]) == 0
+        ann = annotate.load_annotation(tmp_path / "song_0000.tsv")
+        assert ann.segments[-1][1] == pytest.approx(1.8715923, abs=1e-6)
+        capsys.readouterr()
+        assert run(["check-align", "--features", tmp_path / "song_0000.cqtf",
+                    "--ann", tmp_path / "song_0000.tsv"]) == 0
+
+    def test_predict_refuses_a_hidden_checkpoint_without_hidden_units(self, dataset, tmp_path,
+                                                                      capsys):
+        from chordkit.vocab import vocabulary_170
+        hidden = tmp_path / "hidden.npz"
+        params = model.init_params("hidden", 216, vocabulary_170(), hidden_units=4, context=1)
+        model.save_checkpoint(params, hidden)
+        meta = json.loads(str(np.load(hidden)["meta"]))
+        f32 = np.float32
+        checkpoint = _rewrite_checkpoint(
+            hidden, tmp_path / "m.npz", meta=json.dumps({**meta, "hidden_units": 0}),
+            w_W1=np.zeros((params.input_dim, 0), f32), w_b1=np.zeros(0, f32),
+            w_Wr=np.zeros((0, 14), f32), w_Wp=np.zeros((0, 12), f32),
+            w_W2=np.zeros((26, 170), f32))
+        capsys.readouterr()
+        assert run(["predict", "--model", checkpoint, "--features", dataset / "song_0000.cqtf",
+                    "--out", tmp_path / "pred"]) == 1
+        assert _one_json_error(capsys)["error"] == "BadCheckpoint"
+        assert not (tmp_path / "pred" / "labels.tsv").exists()
 
 
 class TestAugment:

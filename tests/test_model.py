@@ -14,8 +14,9 @@ from chordkit.errors import (AllZeroCounts, BadCheckpoint, BadPosteriors, Chordk
                              DimensionMismatch, EmptyDataset, LengthMismatch, NonFiniteLoss,
                              TargetOutOfRange)
 from chordkit.features import FeatureMatrix
-from chordkit.model import (CHECKPOINT_FIELDS, N_ROOT_CLASSES, TrainConfig, _column_moments,
-                            _forward_raw, _loss_and_grads, _patch_batches, _window_grad,
+from chordkit.model import (ARCHITECTURES, CHECKPOINT_FIELDS, N_ROOT_CLASSES, ModelParams,
+                            TrainConfig, _column_moments, _forward_raw, _loss_and_grads,
+                            _patch_batches, _window_grad,
                             _window_matmul, class_weights, cosine_lr, dataset_frame_ids, evaluate,
                             expected_counts, fit_rows, forward, init_params, load_checkpoint,
                             load_posteriors, loss_and_grads, pitch_targets,
@@ -523,6 +524,18 @@ class TestTrain:
         with pytest.raises(EmptyDataset):
             train([], [], TrainConfig(epochs=1), V26)
 
+    def test_validation_song_with_other_bin_count_rejected_before_training(self, monkeypatch):
+        (feat, ann), = tiny_dataset(n_songs=1)
+        val = [(feat, ann), (replace(feat, data=np.zeros((feat.n_frames, 200), np.float32)), ann)]
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(model_mod, "_fit", no_fit)
+        with pytest.raises(DimensionMismatch, match="^validation song 1 has 200 bins; "
+                                                    "song 0 has 8$"):
+            train([(feat, ann)], val, TrainConfig(epochs=1), V26)
+
     @pytest.mark.parametrize("bins", [(216, 200), (200, 216)], ids=["216-200", "200-216"])
     def test_songs_with_other_bin_counts_rejected(self, bins):
         (feat, ann), = tiny_dataset(n_songs=1)
@@ -789,8 +802,23 @@ class TestCheckpoint:
         ({}, {"std": np.zeros(8, dtype=np.float32)}),
         ({}, {"w_b2": np.full(V26.size, np.inf, dtype=np.float32)}),
         ({}, {"w_W1": np.full((40, 4), "0.1")}),
+        # arrays of the shapes each meta gives, so only the sizes themselves are wrong
+        ({"hidden_units": 0}, {"w_W1": np.zeros((40, 0), np.float32),
+                               "w_b1": np.zeros(0, np.float32),
+                               "w_Wr": np.zeros((0, N_ROOT_CLASSES), np.float32),
+                               "w_Wp": np.zeros((0, 12), np.float32),
+                               "w_W2": np.zeros((N_ROOT_CLASSES + 12, V26.size), np.float32)}),
+        ({"arch": "logistic", "hidden_units": 0, "context": 5},
+         {"w_Wc": np.zeros((8, V26.size), np.float32), "w_bc": np.zeros(V26.size, np.float32),
+          "w_Wr": np.zeros((8, N_ROOT_CLASSES), np.float32),
+          "w_br": np.zeros(N_ROOT_CLASSES, np.float32),
+          "w_Wp": np.zeros((8, 12), np.float32), "w_bp": np.zeros(12, np.float32)}),
+        ({"n_bins": 0}, {"mean": np.zeros(0, np.float32), "std": np.ones(0, np.float32),
+                         "w_W1": np.zeros((0, 4), np.float32)}),
+        ({}, {"w_W1": np.full((40, 4), 0.1), "mean": np.zeros(8)}),
     ], ids=["negative-size", "float-size", "str-size", "unknown-arch", "other-context",
-            "zero-std", "inf-bias", "str-weight"])
+            "zero-std", "inf-bias", "str-weight", "no-hidden-units", "logistic-context",
+            "zero-bins", "float64-arrays"])
     def test_arrays_must_fit_the_meta(self, tmp_path, meta, arrays):
         path = tmp_path / "model.npz"
         save_checkpoint(init_params("hidden", 8, V26, hidden_units=4, context=2, seed=9), path)
@@ -843,6 +871,49 @@ class TestCheckpoint:
             meta = json.loads(str(data["meta"]))
         assert meta == {"version": 1, "arch": "hidden", "n_bins": 8, "n_classes": V26.size,
                         "hidden_units": 4, "context": 2, "vocab_hash": params.vocab_hash}
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(arch=st.sampled_from(ARCHITECTURES), n_bins=st.integers(1, 12),
+           vocab=st.sampled_from([V26, V170]), hidden_units=st.integers(1, 6),
+           context=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_keeps_the_model(self, tmp_path, arch, n_bins, vocab, hidden_units,
+                                        context, seed):
+        """What init_params makes, load_checkpoint gives back: the
+        architecture, its sizes, the hash and every array's float32 bytes."""
+        params = init_params(arch, n_bins, vocab, hidden_units=hidden_units, context=context,
+                             seed=seed, scale=0.5)
+        params.mean = np.random.default_rng(seed).standard_normal(n_bins)
+        save_checkpoint(params, tmp_path / "model.npz")
+        loaded = load_checkpoint(tmp_path / "model.npz")
+        sizes = (hidden_units, context) if arch == "hidden" else (0, 0)
+        assert (loaded.arch, loaded.n_bins, loaded.n_classes, loaded.hidden_units,
+                loaded.context, loaded.vocab_hash) == (arch, n_bins, vocab.size, *sizes,
+                                                       manifest_hash(vocab))
+        assert list(loaded.weights) == list(params.weights)
+        for got, made in [(loaded.mean, params.mean), (loaded.std, params.std),
+                          *((loaded.weights[k], v) for k, v in params.weights.items())]:
+            assert got.dtype == np.float32
+            assert got.tobytes() == made.astype(np.float32).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(arch=st.sampled_from([*ARCHITECTURES, "conv", ""]),
+           sizes=st.tuples(*[st.one_of(st.integers(-2, 3),
+                                       st.sampled_from([True, False, 2.0, "2", np.int64(2)]))
+                             for _ in range(4)]))
+    def test_model_params_takes_exactly_the_models_that_exist(self, arch, sizes):
+        """Int sizes, n_bins and n_classes >= 1, and a hidden model with
+        hidden_units >= 1 and context >= 0 or a logistic one with 0 and 0;
+        anything else raises ValueError."""
+        n_bins, n_classes, hidden_units, context = sizes
+        exists = (all(type(size) is int for size in sizes) and n_bins >= 1 and n_classes >= 1
+                  and ((arch == "hidden" and hidden_units >= 1 and context >= 0)
+                       or (arch == "logistic" and hidden_units == context == 0)))
+        if exists:
+            ModelParams(arch, *sizes)
+        else:
+            with pytest.raises(ValueError):
+                ModelParams(arch, *sizes)
 
     @pytest.mark.parametrize("first", range(len(CHECKPOINT_FIELDS)))
     def test_first_missing_field_is_named(self, tmp_path, first):

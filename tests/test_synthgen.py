@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chordkit.annotate import TIME_DECIMALS, load_annotation, save_annotation
 from chordkit.errors import MissingQuality
 from chordkit.synthgen import (DEGREE_OFFSETS, DEGREE_QUALITIES, RULE_GRAPH,
                                CalibrationTable, ProgressionConfig,
@@ -121,6 +122,27 @@ class TestTiming:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             realize_timing([], CFG, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("tail", [5e-10, 1.2e-7, 9.9e-7, 1.5e-6])
+    def test_every_segment_fits_a_label_file(self, tmp_path, tail):
+        """A tail shorter than a label file's time step joins the last chord;
+        every song is written and read back with the chords' times."""
+        for seed in range(10):
+            bar = 240.0 / generate_song(CFG, seed)[1]  # the BPM does not depend on duration
+            ann = generate_song(ProgressionConfig(duration=2 * bar + tail), seed)[0]
+            assert ann.segments[-1][1] == ann.duration
+            assert len(ann.segments) == (3 if tail >= 10.0 ** -TIME_DECIMALS else 2)
+            save_annotation(ann, tmp_path / "song.tsv")
+            assert load_annotation(tmp_path / "song.tsv").segments == tuple(
+                (round(start, TIME_DECIMALS), round(end, TIME_DECIMALS), label)
+                for start, end, label in ann.segments)
+
+    def test_sub_microsecond_tail_of_a_short_song(self, tmp_path):
+        """synth --n 1 --seed 7 --duration 1.8715923: one chord, no 0.12 us tail."""
+        ann = generate_song(ProgressionConfig(duration=1.8715923), 7 * 1_000_003)[0]
+        assert [(start, end) for start, end, _ in ann.segments] == [(0.0, 1.8715923)]
+        save_annotation(ann, tmp_path / "song.tsv")
+        assert load_annotation(tmp_path / "song.tsv").segments[0][2] == ann.segments[0][2]
 
 
 class TestCalibration:
