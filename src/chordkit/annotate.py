@@ -34,6 +34,7 @@ DEFAULT_HOP_SAMPLES = 4096
 DEFAULT_HOP = DEFAULT_HOP_SAMPLES / DEFAULT_SR
 TIME_EPS = 1e-9  # seconds within which two times count as one
 TIME_DECIMALS = 6  # decimals of the times in a label file
+TIME_STEP = 10.0 ** -TIME_DECIMALS  # a label file's time resolution, in seconds
 ALIGN_WINDOW_FRAMES = 50  # lags tried on each side by alignment_lag
 
 
@@ -91,17 +92,13 @@ def fill_gaps(segments, duration=None) -> Annotation:
             filled.append((cursor, start, harte.NO_CHORD))
         filled.append((start, end, label))
         cursor = end
-    if duration is None:
+    # a label file's times, so a stated duration, are good to one TIME_STEP
+    if duration is None or abs(duration - cursor) <= TIME_STEP:
         duration = cursor
-    elif duration > cursor + TIME_EPS:
+    elif duration > cursor:
         filled.append((cursor, duration, harte.NO_CHORD))
-    elif duration < cursor:
-        # annotation files carry TIME_DECIMALS decimals, so a stated duration
-        # may round to just under the last segment end
-        if duration < cursor - 10.0 ** -TIME_DECIMALS:
-            raise NonMonotoneTimes(
-                f"duration {duration} shorter than last segment end {cursor}")
-        duration = cursor
+    else:
+        raise NonMonotoneTimes(f"duration {duration} shorter than last segment end {cursor}")
     return Annotation(segments=tuple(filled), duration=float(duration))
 
 
@@ -140,8 +137,10 @@ def load_annotation(path, duration=None) -> Annotation:
         start, end = parse_time(parts[0], line_no), parse_time(parts[1], line_no)
         if start < 0:
             raise NonMonotoneTimes(f"line {line_no}: start {start} is negative")
-        if end <= start:
-            raise NonMonotoneTimes(f"line {line_no}: end {end} <= start {start}")
+        # only a segment shorter than TIME_STEP can be empty at TIME_DECIMALS decimals
+        if end - start < TIME_STEP and round(end, TIME_DECIMALS) <= round(start, TIME_DECIMALS):
+            raise NonMonotoneTimes(f"line {line_no}: end {end} <= start {start} "
+                                   f"at {TIME_DECIMALS} decimals")
         try:
             label = harte.parse_chord(parts[2].strip())
         except MalformedChord as exc:

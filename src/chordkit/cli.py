@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -108,15 +109,16 @@ def _write_labels(ids, hop: float, intervals, vocab, out: Path) -> None:
 def cmd_synth(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
-    out_dir = _out_dir(args)
+    # every input is checked before --out is made; each song lasts cfg.duration
     cfg = synthgen.ProgressionConfig(duration=args.duration)
+    grid = annotate.grid_for(cfg.duration, hop=args.hop)
+    render = features.RenderParams(noise_db=args.noise)
+    out_dir = _out_dir(args)
     songs, outputs = [], []
     for i in range(args.n):
         seed = args.seed * 1_000_003 + i
         ann, bpm, _ = synthgen.generate_song(cfg, seed)
-        grid = annotate.grid_for(ann.duration, hop=args.hop)
-        params = features.RenderParams(noise_db=args.noise, seed=seed + 1)
-        feat = features.render_synthetic_cqt(ann, grid, params)
+        feat = features.render_synthetic_cqt(ann, grid, replace(render, seed=seed + 1))
         stem = f"song_{i:04d}"
         annotate.save_annotation(ann, out_dir / f"{stem}.tsv")
         features.save_features(feat, out_dir / f"{stem}.cqtf")

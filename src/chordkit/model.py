@@ -644,12 +644,15 @@ def train(dataset, val, cfg: TrainConfig, vocab: Vocabulary, arch: str = DEFAULT
     """
     if not dataset:
         raise EmptyDataset("empty training set")
-    n_bins = dataset[0][0].n_bins
+    n_bins, hop = dataset[0][0].n_bins, dataset[0][0].hop
     for what, songs in (("training", dataset), ("validation", val)):
         for i, (feat, _) in enumerate(songs):
             if feat.n_bins != n_bins:
                 raise DimensionMismatch(f"{what} song {i} has {feat.n_bins} bins; "
                                         f"song 0 has {n_bins}")
+            if feat.hop != hop:
+                raise DimensionMismatch(f"{what} song {i} has hop {feat.hop} s; "
+                                        f"song 0 has {hop} s")
     params = _standardized_init(arch, [feat.data for feat, _ in dataset], vocab, cfg,
                                 hidden_units, context)
 

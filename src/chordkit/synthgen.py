@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .annotate import TIME_DECIMALS, TIME_EPS, Annotation
+from .annotate import TIME_EPS, TIME_STEP, Annotation
 from .errors import MissingQuality
 from .harte import ChordKind, ChordLabel
 from .vocab import Vocabulary, check_ids
@@ -74,8 +74,9 @@ class ProgressionConfig:
     duration: float = 30.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.duration) and self.duration > 0):
-            raise ValueError(f"duration {self.duration} is not a positive number")
+        if not (math.isfinite(self.duration) and self.duration >= TIME_STEP):
+            raise ValueError(f"duration {self.duration} is not a finite number >= "
+                             f"{TIME_STEP}, a label file's time step")
 
 
 def _choose(rng: np.random.Generator, options) -> str:
@@ -118,7 +119,7 @@ def realize_timing(chords: list[ChordLabel], cfg: ProgressionConfig,
     while t < cfg.duration - TIME_EPS:
         end = t + bar
         # a tail shorter than a label file's time step joins the chord before it
-        if end > cfg.duration - 10.0 ** -TIME_DECIMALS:
+        if end > cfg.duration - TIME_STEP:
             end = cfg.duration
         segments.append((t, end, chords[i % len(chords)]))
         t = end

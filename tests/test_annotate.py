@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from chordkit import harte
-from chordkit.annotate import (DEFAULT_HOP, TIME_DECIMALS, Annotation, FrameGrid,
+from chordkit.annotate import (DEFAULT_HOP, TIME_DECIMALS, TIME_STEP, Annotation, FrameGrid,
                                alignment_lag, feature_derivative_signal, fill_gaps,
                                frame_labels, grid_for, interval_labels,
                                load_annotation, n_frames_for, save_annotation,
@@ -92,6 +92,25 @@ class TestAnnotation:
         assert make_ann([(0.0, 2.0, "C:maj")], duration=2.0 - 5e-7).duration == 2.0
         with pytest.raises(NonMonotoneTimes):
             make_ann([(0.0, 2.0, "C:maj")], duration=1.5)
+
+    @pytest.mark.parametrize("offset", [4e-7, 9e-7, -4e-7, -9e-7],
+                             ids=["0.4-step-above", "0.9-step-above", "0.4-step-below",
+                                  "0.9-step-below"])
+    def test_stated_duration_within_a_step_is_the_last_end(self, offset):
+        """A label file holds times to TIME_STEP: no N tail shorter than it."""
+        ann = make_ann([(0.0, 2.0, "C:maj")], duration=2.0 + offset)
+        assert ann.duration == 2.0
+        assert [(s, e) for s, e, _ in ann.segments] == [(0.0, 2.0)]
+
+    def test_stated_duration_more_than_a_step_past_the_end_gets_an_n_tail(self):
+        ann = make_ann([(0.0, 2.0, "C:maj")], duration=2.0 + 2 * TIME_STEP)
+        assert ann.duration == 2.0 + 2 * TIME_STEP
+        assert ann.segments[-1] == (2.0, 2.0 + 2 * TIME_STEP, harte.NO_CHORD)
+
+    def test_stated_duration_more_than_a_step_before_the_end_rejected(self):
+        with pytest.raises(NonMonotoneTimes,
+                           match=r"^duration 1.999998 shorter than last segment end 2.0$"):
+            make_ann([(0.0, 2.0, "C:maj")], duration=1.999998)
 
     def test_transpose(self):
         ann = make_ann([(0.0, 1.0, "A:min7")])
@@ -189,6 +208,67 @@ class TestFileIO:
                         tmp_path / "song.tsv")
         assert (tmp_path / "song.tsv").read_text().split("\t")[:2] == \
             ["0." + "0" * TIME_DECIMALS, "0." + "3" * TIME_DECIMALS]
+
+    @pytest.mark.parametrize("text, line_no", [
+        ("0.0\t0.0000004\tC:maj\n0.0000004\t10.0\tG:maj\n", 1),
+        ("0\t1.0000001\tC:maj\n1.0000001\t1.0000004\tN\n1.0000004\t2\tG:maj\n", 2),
+        ("0\t2\tC:maj\n2\t2.00000049\tG:maj\n", 2),
+    ], ids=["at-0", "inside", "at-end"])
+    def test_segment_empty_at_the_file_decimals_refused_with_its_line(self, tmp_path, text,
+                                                                      line_no):
+        """What save_annotation could not write back does not load."""
+        path = tmp_path / "song.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(NonMonotoneTimes, match=f"^line {line_no}: .* at {TIME_DECIMALS} "
+                                                   f"decimals$"):
+            load_annotation(path)
+
+    def test_segment_shorter_than_a_step_that_spans_one_loads(self, tmp_path):
+        path = tmp_path / "song.tsv"
+        path.write_text("0\t1.0000004\tN\n1.0000004\t1.0000006\tC:maj\n"
+                        "1.0000006\t2\tG:maj\n", encoding="utf-8")
+        assert [(s, e) for s, e, _ in load_annotation(path).segments] == \
+            [(0.0, 1.0000004), (1.0000004, 1.0000006), (1.0000006, 2.0)]
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_what_loads_is_written_and_loads_back(self, tmp_path, data):
+        """Label text whose times carry 0-9 decimals either is refused, at the
+        first line empty at TIME_DECIMALS decimals, or loads, saves and loads
+        back as its segments rounded to TIME_DECIMALS decimals."""
+        steps = data.draw(st.lists(st.one_of(st.integers(1, 3000), st.integers(1, 3 * 10**9)),
+                                   max_size=8))
+        # boundaries in nanoseconds, each cut to its own number of decimals
+        exact, ns, texts = 0, [0], ["0"]
+        for step in steps:
+            decimals = data.draw(st.integers(0, 9))
+            unit = 10 ** (9 - decimals)
+            exact += step
+            ns.append(exact // unit * unit)
+            whole, frac = divmod(ns[-1], 10**9)
+            texts.append(f"{whole}.{frac // unit:0{decimals}d}" if decimals else f"{whole}")
+        lines = []
+        for i in range(len(steps)):
+            # a gap is left out only where its N filler is a whole step long at
+            # any rounding; a shorter one is written as a line
+            if ns[i + 1] - ns[i] >= 2000 and data.draw(st.booleans()):
+                continue
+            label = data.draw(st.sampled_from(["C:maj", "A:min7", "N", "G:7(b9)"]))
+            lines.append((texts[i], texts[i + 1], label))
+        path = tmp_path / "song.tsv"
+        path.write_text("".join(f"{a}\t{b}\t{c}\n" for a, b, c in lines), encoding="utf-8")
+        empty = [line_no for line_no, (a, b, _) in enumerate(lines, start=1)
+                 if round(float(b), TIME_DECIMALS) <= round(float(a), TIME_DECIMALS)]
+        if empty:
+            with pytest.raises(NonMonotoneTimes, match=f"^line {empty[0]}: "):
+                load_annotation(path)
+            return
+        ann = load_annotation(path)
+        save_annotation(ann, tmp_path / "again.tsv")
+        assert load_annotation(tmp_path / "again.tsv").segments == tuple(
+            (round(s, TIME_DECIMALS), round(e, TIME_DECIMALS), label)
+            for s, e, label in ann.segments)
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

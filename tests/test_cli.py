@@ -127,6 +127,20 @@ class TestTrain:
         assert "error" in err and "message" in err
 
 
+    def test_songs_on_other_frame_grids_exit_one(self, dataset, tmp_path, capsys):
+        mixed = tmp_path / "mixed"
+        # 10 songs leave 2 for testing, so at least 2 at hop 0.05 are read
+        assert run(["synth", "--n", 4, "--duration", 10, "--seed", 2, "--hop", 0.05,
+                    "--out", mixed]) == 0
+        for path in dataset.glob("song_*"):
+            (mixed / f"x{path.name}").write_bytes(path.read_bytes())
+        capsys.readouterr()
+        assert run(["train", "--data", mixed, "--epochs", 2, "--out", tmp_path / "m"]) == 1
+        err = _one_json_error(capsys)
+        assert err["error"] == "DimensionMismatch" and "hop 0.05" in err["message"]
+        assert not (tmp_path / "m" / "model.npz").exists()
+
+
 class TestPredictSmoothEval:
     def test_pipeline(self, dataset, trained, tmp_path, capsys):
         pred = tmp_path / "pred"
@@ -175,6 +189,20 @@ class TestPredictSmoothEval:
                     "--ann", dataset / "song_0000.tsv",
                     "--out", out]) == 0
         assert (out / "labels.tsv").exists()
+
+    def test_perfect_division_on_predicted_labels(self, dataset, trained, tmp_path):
+        """The 10 s song's n_frames * hop is written rounded down: the label
+        file's end is the song's end, with no sub-step N tail to pool."""
+        feat = features.load_features(dataset / "song_0000.cqtf")
+        assert round(feat.n_frames * feat.hop, 6) < feat.n_frames * feat.hop
+        argv = ["predict", "--model", trained / "model.npz",
+                "--features", dataset / "song_0000.cqtf"]
+        assert run([*argv, "--out", tmp_path / "p0"]) == 0
+        assert run([*argv, "--beat-division", "perfect", "--ann", tmp_path / "p0" / "labels.tsv",
+                    "--out", tmp_path / "p1"]) == 0
+        ends = [annotate.load_annotation(tmp_path / p / "labels.tsv").duration
+                for p in ("p0", "p1")]
+        assert ends == [round(feat.n_frames * feat.hop, 6)] * 2
 
     def test_beat_predict_then_smooth_ends_at_song_duration(self, dataset, trained, tmp_path):
         from chordkit.features import load_features
@@ -650,7 +678,7 @@ class TestLabelFilesLoad:
         assert run(["augment", "--features", dataset / "song_0000.cqtf", "--ann", ann,
                     "--shift", 2, "--out", tmp_path / "aug"]) == 1
         assert _one_json_error(capsys)["error"] == "NonMonotoneTimes"
-        assert list((tmp_path / "aug").iterdir()) == []
+        assert not (tmp_path / "aug").exists()
 
     def test_synth_never_writes_a_tail_that_rounds_to_nothing(self, tmp_path, capsys):
         assert run(["synth", "--n", 1, "--seed", 7, "--duration", 1.8715923,
@@ -807,6 +835,15 @@ class TestArgErrors:
         assert run([argv[0], *more, *argv[1:], "--out", tmp_path / "out"]) == 1
         assert _one_json_error(capsys)["error"] == "ValueError"
         assert not list((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("argv", [
+        ["--duration", "0.0000001"], ["--duration", "-1"], ["--noise", "-1"], ["--hop", "0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_synth_checks_every_input_before_making_out(self, tmp_path, capsys, argv):
+        capsys.readouterr()
+        assert run(["synth", "--n", 1, *argv, "--out", tmp_path / "out"]) == 1
+        assert _one_json_error(capsys)["error"] == "ValueError"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exits_one(self, capsys):
         assert run(["eval", "--ref", "/nonexistent/a.tsv",

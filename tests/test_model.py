@@ -536,6 +536,21 @@ class TestTrain:
                                                     "song 0 has 8$"):
             train([(feat, ann)], val, TrainConfig(epochs=1), V26)
 
+    @pytest.mark.parametrize("what", ["training", "validation"])
+    def test_song_on_another_frame_grid_rejected_before_training(self, monkeypatch, what):
+        """Patches span cfg.patch_seconds at song 0's hop, so every song shares it."""
+        (feat, ann), = tiny_dataset(n_songs=1)
+        other = [(feat, ann), (replace(feat, hop=0.05), ann)]
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(model_mod, "_fit", no_fit)
+        songs, val = (other, []) if what == "training" else ([(feat, ann)], other)
+        with pytest.raises(DimensionMismatch,
+                           match=f"^{what} song 1 has hop 0.05 s; song 0 has 0.25 s$"):
+            train(songs, val, TrainConfig(epochs=1), V26)
+
     @pytest.mark.parametrize("bins", [(216, 200), (200, 216)], ids=["216-200", "200-216"])
     def test_songs_with_other_bin_counts_rejected(self, bins):
         (feat, ann), = tiny_dataset(n_songs=1)

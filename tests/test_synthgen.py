@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chordkit.annotate import TIME_DECIMALS, load_annotation, save_annotation
+from chordkit.annotate import TIME_DECIMALS, TIME_STEP, load_annotation, save_annotation
 from chordkit.errors import MissingQuality
 from chordkit.synthgen import (DEGREE_OFFSETS, DEGREE_QUALITIES, RULE_GRAPH,
                                CalibrationTable, ProgressionConfig,
@@ -36,6 +36,18 @@ class TestConfig:
         # an infinite duration would loop realize_timing without end
         with pytest.raises(ValueError, match="duration"):
             ProgressionConfig(duration=duration)
+
+
+    @pytest.mark.parametrize("duration", [1e-7, 0.5 * TIME_STEP, 0.99 * TIME_STEP])
+    def test_duration_shorter_than_a_label_file_step_rejected(self, duration):
+        with pytest.raises(ValueError, match="time step"):
+            ProgressionConfig(duration=duration)
+
+    def test_one_step_song_is_written_and_read_back(self, tmp_path):
+        ann = generate_song(ProgressionConfig(duration=TIME_STEP), 0)[0]
+        assert [(start, end) for start, end, _ in ann.segments] == [(0.0, TIME_STEP)]
+        save_annotation(ann, tmp_path / "song.tsv")
+        assert load_annotation(tmp_path / "song.tsv").segments == ann.segments
 
 
 class TestProgression:
