@@ -5,9 +5,9 @@ line, sorted by start time. Gaps between labelled segments are filled with
 no-chord segments so that annotations tile [0, duration).
 
 Each time-axis rule is written once, here:
-- two times closer than ``TIME_EPS`` seconds are the same time: a segment
-  may start that much before the previous one ends, and a gap or a tail no
-  longer than that is no gap;
+- an Annotation, beat intervals and posteriorgram rows tile a time axis, each
+  start within ``TIME_EPS`` of the last end (:func:`time_axis_fault`); a label
+  file joins a gap up to ``TIME_STEP`` and an overlap up to ``TIME_EPS``;
 - a song of d seconds spans ``ceil(d / hop)`` frames (:func:`grid_for`);
 - time t lies in the segment whose half-open [start, end) holds it
   (:func:`segment_index`), and a frame lies where its centre does;
@@ -40,21 +40,34 @@ ALIGN_WINDOW_FRAMES = 50  # lags tried on each side by alignment_lag
 
 @dataclass(frozen=True)
 class Annotation:
-    """Time-sorted, non-overlapping chord segments for one song."""
+    """Chord segments for one song that tile a time axis (:func:`time_axis_fault`)."""
 
     segments: tuple[tuple[float, float, ChordLabel], ...]
     duration: float
 
     def __post_init__(self):
-        prev_end = 0.0
-        for start, end, _ in self.segments:
-            if start < 0 or end <= start:
-                raise NonMonotoneTimes(f"bad segment times ({start}, {end})")
-            if start < prev_end - TIME_EPS:
-                raise NonMonotoneTimes(f"overlapping segment at {start}")
-            prev_end = end
+        if (bad := time_axis_fault(self.segments)) is not None:
+            raise NonMonotoneTimes(f"bad segment times {self.segments[bad][:2]} at segment {bad}")
         if self.segments and self.duration < self.segments[-1][1] - TIME_EPS:
             raise NonMonotoneTimes("duration shorter than last segment end")
+
+
+def time_axis_fault(intervals) -> int | None:
+    """Index of the first row (start, end, ...) off a time axis, or None: on one, times
+    are finite, the first start >= 0, each end after its start and within TIME_EPS of the next."""
+    prev_end = None
+    for i, row in enumerate(intervals):
+        start, end = row[0], row[1]
+        # NaN fails every comparison, and a prev_end is finite
+        if not (start < end < math.inf
+                and (start >= 0 if prev_end is None else abs(start - prev_end) <= TIME_EPS)):
+            return i
+        prev_end = end
+    return None
+
+
+def is_time_axis(intervals) -> bool:
+    return time_axis_fault(intervals) is None
 
 
 @dataclass(frozen=True)
@@ -83,16 +96,18 @@ def n_frames_for(duration: float) -> int:
 
 
 def fill_gaps(segments, duration=None) -> Annotation:
-    """Insert no-chord segments so the annotation tiles [0, duration)."""
+    """Insert no-chord segments so the annotation tiles [0, duration); a gap or
+    a stated duration within one TIME_STEP of the previous end is that end."""
     segments = sorted(segments, key=lambda s: s[0])
     filled = []
     cursor = 0.0
     for start, end, label in segments:
-        if start > cursor + TIME_EPS:
+        if start - cursor > TIME_STEP:
             filled.append((cursor, start, harte.NO_CHORD))
+        elif start > cursor:
+            start = cursor
         filled.append((start, end, label))
         cursor = end
-    # a label file's times, so a stated duration, are good to one TIME_STEP
     if duration is None or abs(duration - cursor) <= TIME_STEP:
         duration = cursor
     elif duration > cursor:
@@ -126,7 +141,7 @@ def parse_time(text: str, line_no: int) -> float:
 
 def load_annotation(path, duration=None) -> Annotation:
     """Read a lab-style TSV annotation file."""
-    segments = []
+    segments, prev_end = [], 0.0
     for line_no, line in enumerate(read_lines(path), start=1):
         line = line.rstrip("\n")
         if not line.strip():
@@ -137,6 +152,8 @@ def load_annotation(path, duration=None) -> Annotation:
         start, end = parse_time(parts[0], line_no), parse_time(parts[1], line_no)
         if start < 0:
             raise NonMonotoneTimes(f"line {line_no}: start {start} is negative")
+        if 0 < prev_end - start <= TIME_EPS:
+            start = prev_end
         # only a segment shorter than TIME_STEP can be empty at TIME_DECIMALS decimals
         if end - start < TIME_STEP and round(end, TIME_DECIMALS) <= round(start, TIME_DECIMALS):
             raise NonMonotoneTimes(f"line {line_no}: end {end} <= start {start} "
@@ -146,6 +163,7 @@ def load_annotation(path, duration=None) -> Annotation:
         except MalformedChord as exc:
             raise MalformedLine(line_no, str(exc)) from None
         segments.append((start, end, label))
+        prev_end = end
     return fill_gaps(segments, duration=duration)
 
 

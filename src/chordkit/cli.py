@@ -10,6 +10,7 @@ exact configuration needed to reproduce it. Structured outputs go to
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -53,13 +54,13 @@ def _write_csv(path: Path, header: list, rows) -> None:
         csv.writer(fh).writerows([header, *rows])
 
 
-def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
+def _write_manifest(out_dir: Path, args: argparse.Namespace,
                     inputs: list[str], outputs: list[str], **recorded) -> None:
     """run_manifest.json; ``recorded`` overrides the config values of args."""
     config = {**vars(args), **recorded}
     _write_json(out_dir / "run_manifest.json", {
         "toolkit_version": __version__,
-        "command": command,
+        "command": args.command,
         "config": {k: v for k, v in sorted(config.items()) if k != "func"},
         "inputs": sorted(inputs),
         "outputs": sorted(outputs),
@@ -126,7 +127,7 @@ def cmd_synth(args) -> int:
         outputs += [f"{stem}.tsv", f"{stem}.cqtf"]
     _write_json(out_dir / "dataset.json",
                 {"songs": songs, "noise_db": args.noise, "hop": args.hop})
-    _write_manifest(out_dir, "synth", args, [], outputs + ["dataset.json"])
+    _write_manifest(out_dir, args, [], outputs + ["dataset.json"])
     _log(f"wrote {args.n} synthetic songs to {out_dir}")
     return 0
 
@@ -154,7 +155,7 @@ def cmd_train(args) -> int:
     with open(out_dir / "history.jsonl", "w", encoding="utf-8") as fh:
         for record in history:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    _write_manifest(out_dir, "train", args,
+    _write_manifest(out_dir, args,
                     [str(p) for p, _ in pairs], ["model.npz", "history.jsonl"],
                     hidden_units=params.hidden_units, context=params.context)
     _log(f"trained {args.arch} model on {len(train_set)} songs -> {out_dir / 'model.npz'}")
@@ -193,7 +194,7 @@ def cmd_predict(args) -> int:
     _write_labels(ids, feat.hop, intervals, vocab, out_dir / "labels.tsv")
     model.save_posteriors(out_dir / "posteriors.npz", post, params.vocab_hash,
                           feat.hop, intervals)
-    _write_manifest(out_dir, "predict", args, [args.model, args.features],
+    _write_manifest(out_dir, args, [args.model, args.features],
                     ["labels.tsv", "posteriors.npz"], beat_division=division)
     _log(f"wrote predictions to {out_dir}")
     return 0
@@ -207,7 +208,7 @@ def cmd_smooth(args) -> int:
     ids = decode.viterbi_smooth(post, cfg)
     out_dir = _out_dir(args)
     _write_labels(ids, hop, intervals, vocab, out_dir / "labels.tsv")
-    _write_manifest(out_dir, "smooth", args, [args.post], ["labels.tsv"])
+    _write_manifest(out_dir, args, [args.post], ["labels.tsv"])
     _log(f"smoothed {post.shape[0]} rows (beta={args.beta}) -> {out_dir}")
     return 0
 
@@ -285,7 +286,7 @@ def cmd_report(args) -> int:
     _write_csv(out_dir / "incorrect_region_lengths.csv", ["length", "count"],
                sorted(lengths.items()))
 
-    _write_manifest(out_dir, "report", args, names,
+    _write_manifest(out_dir, args, names,
                     ["per_song.csv", "report.json", "confusion_quality.csv",
                      "confusion_root.csv", "incorrect_region_lengths.csv"])
     _log(f"report over {len(songs)} songs -> {out_dir}")
@@ -301,7 +302,7 @@ def cmd_augment(args) -> int:
     stem = Path(args.features).stem + f"_shift{args.shift:+d}"
     annotate.save_annotation(transposed, out_dir / f"{stem}.tsv")
     features.save_features(shifted, out_dir / f"{stem}.cqtf")
-    _write_manifest(out_dir, "augment", args, [args.features, args.ann],
+    _write_manifest(out_dir, args, [args.features, args.ann],
                     [f"{stem}.cqtf", f"{stem}.tsv"])
     _log(f"shifted by {args.shift} semitones -> {out_dir / stem}.*")
     return 0
@@ -396,9 +397,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None)
+    missing = [] if out is None else [p for p in (Path(out), *Path(out).parents) if not p.exists()]
     try:
         return args.func(args)
     except (ChordkitError, OSError, ValueError) as exc:
+        # a failed run leaves no --out it made, nor its parents; rmdir, deepest
+        # first, refuses a directory that holds anything
+        for path in missing:
+            with contextlib.suppress(OSError):
+                path.rmdir()
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

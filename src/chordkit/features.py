@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import harte
-from .annotate import TIME_EPS, Annotation, FrameGrid, parse_time, read_lines, segment_index
+from .annotate import (TIME_EPS, Annotation, FrameGrid, is_time_axis, parse_time, read_lines,
+                       segment_index, time_axis_fault)
 from .errors import (BadBinConfig, BadHeader, BadMagic, EmptyBeatList, MalformedLine,
                      NonFiniteFeatures, TruncatedPayload, VersionMismatch)
 
@@ -184,18 +185,8 @@ class BeatIntervals:
     def __post_init__(self):
         if not self.intervals:
             raise EmptyBeatList("no beat intervals")
-        if not is_time_axis(self.intervals):
-            raise EmptyBeatList("intervals are not finite, from 0 on, increasing and contiguous")
-
-
-def is_time_axis(intervals) -> bool:
-    """True when every (start, end) time is finite, the first start is >= 0,
-    each end is greater than its start and each start lies within
-    ``TIME_EPS`` of the previous end."""
-    times = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
-    return bool(np.isfinite(times).all() and (times[:1, 0] >= 0).all()
-                and (times[:, 1] > times[:, 0]).all()
-                and (np.abs(times[1:, 0] - times[:-1, 1]) <= TIME_EPS).all())
+        if (bad := time_axis_fault(self.intervals)) is not None:
+            raise EmptyBeatList(f"interval {bad} {self.intervals[bad]} is off a time axis")
 
 
 def load_beats(path) -> list[float]:

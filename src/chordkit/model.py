@@ -73,11 +73,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import vocab as vocab_mod
-from .annotate import frame_labels
+from .annotate import frame_labels, time_axis_fault
 from .errors import (AllZeroCounts, BadCheckpoint, BadPosteriors, ChordkitError,
                      DimensionMismatch, EmptyDataset, LengthMismatch, NonFiniteLoss,
                      TargetOutOfRange, VocabularyMismatch)
-from .features import FeatureMatrix, is_time_axis, pitch_shift_cqt
+from .features import FeatureMatrix, pitch_shift_cqt
 from .vocab import Vocabulary, check_ids
 
 N_ROOT_CLASSES = 14  # 12 roots + N + X
@@ -810,9 +810,9 @@ def load_posteriors(path, vocab: Vocabulary):
                                   or intervals.dtype.kind != "f"):
         raise BadPosteriors(f"{path}: intervals of shape {intervals.shape} "
                             f"do not match {len(post)} rows")
-    if intervals is not None and not is_time_axis(intervals):
-        raise BadPosteriors(f"{path}: row intervals are not finite, from 0 on, "
-                            f"increasing and contiguous")
+    if intervals is not None and (bad := time_axis_fault(intervals.tolist())) is not None:
+        raise BadPosteriors(f"{path}: row {bad} interval {tuple(intervals[bad].tolist())} "
+                            f"is off a time axis")
     return post, float(hop), intervals
 
 

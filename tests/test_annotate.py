@@ -6,11 +6,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from chordkit import harte
-from chordkit.annotate import (DEFAULT_HOP, TIME_DECIMALS, TIME_STEP, Annotation, FrameGrid,
-                               alignment_lag, feature_derivative_signal, fill_gaps,
-                               frame_labels, grid_for, interval_labels,
+from chordkit.annotate import (DEFAULT_HOP, TIME_DECIMALS, TIME_EPS, TIME_STEP, Annotation,
+                               FrameGrid, alignment_lag, feature_derivative_signal, fill_gaps,
+                               frame_labels, grid_for, interval_labels, is_time_axis,
                                load_annotation, n_frames_for, save_annotation,
-                               segment_index, transpose_annotation)
+                               segment_index, time_axis_fault, transpose_annotation)
 from chordkit.errors import (ChordkitError, DegenerateSignal, MalformedLine,
                              NonMonotoneTimes)
 from chordkit.harte import parse_chord
@@ -60,7 +60,74 @@ class TestFrameCount:
         assert (grid.n_frames - 1) * grid.hop < duration
 
 
+def numpy_time_axis(intervals) -> bool:
+    """The vectorised form of the time-axis rule, kept as a reference."""
+    times = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
+    return bool(np.isfinite(times).all() and (times[:1, 0] >= 0).all()
+                and (times[:, 1] > times[:, 0]).all()
+                and (np.abs(times[1:, 0] - times[:-1, 1]) <= TIME_EPS).all())
+
+
+class TestTimeAxis:
+    @pytest.mark.parametrize("intervals, bad", [
+        ([(0.0, 1.0), (1.0, math.nan)], 1),
+        ([(0.0, 1.0), (1.0, 2.0), (math.inf, math.inf)], 2),
+        ([(0.0, math.inf)], 0),
+        ([(math.nan, 1.0)], 0),
+        ([(-1.0, 0.5), (0.5, 1.0)], 0),
+        ([(0.0, 1.0), (1.0, 1.0), (1.0, 2.0)], 1),
+        ([(0.0, 1.0), (1.0, 2.0), (2.0, 1.5)], 2),
+        ([(0.0, 1.0), (1.0 + 3 * TIME_EPS, 2.0)], 1),
+        ([(0.0, 1.0), (1.0, 2.0), (2.0 - 3 * TIME_EPS, 3.0)], 2),
+    ], ids=["nan", "inf", "inf-end", "nan-start", "negative-first-start", "empty",
+            "reversed", "gap", "overlap"])
+    def test_fault_is_the_first_bad_interval(self, intervals, bad):
+        assert time_axis_fault(intervals) == bad
+        assert not is_time_axis(intervals)
+
+    @pytest.mark.parametrize("intervals", [
+        [], [(0.0, 1.0)], [(0.5, 1.0), (1.0, 2.0)],
+        [(0.0, 1.0), (1.0 + 0.5 * TIME_EPS, 2.0), (2.0 - 0.5 * TIME_EPS, 3.0)],
+    ], ids=["none", "one", "late-start", "within-eps"])
+    def test_no_fault_on_a_time_axis(self, intervals):
+        assert time_axis_fault(intervals) is None
+        assert is_time_axis(intervals)
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_the_vectorised_rule(self, data):
+        """Random rows: non-finite and negative times, and starts moved off
+        the previous end by a gap or an overlap on either side of TIME_EPS."""
+        n = data.draw(st.integers(0, 6))
+        ends = np.cumsum(data.draw(st.lists(st.floats(1e-3, 3.0), min_size=n, max_size=n)))
+        offsets = st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 2.0, 1e3])
+        times = np.column_stack((np.concatenate(([0.0], ends[:-1])), ends)) if n else \
+            np.zeros((0, 2))
+        for i in range(n):
+            times[i, 0] += data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(offsets) * TIME_EPS
+        odd = st.sampled_from([math.nan, math.inf, -math.inf, -0.5, 0.0])
+        for _ in range(data.draw(st.integers(0, 2)) if n else 0):
+            times[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 1))] = data.draw(odd)
+        assert is_time_axis(times) == is_time_axis(times.tolist()) == numpy_time_axis(times)
+
+
 class TestAnnotation:
+    def test_interior_gap_rejected(self):
+        with pytest.raises(NonMonotoneTimes, match=r"\(1.5, 2.0\) at segment 1$"):
+            Annotation(segments=((0.0, 1.0, harte.NO_CHORD),
+                                 (1.5, 2.0, harte.NO_CHORD)), duration=2.0)
+
+    @pytest.mark.parametrize("gap", [0.4, 0.9], ids=["0.4-step", "0.9-step"])
+    def test_gap_within_a_step_is_joined(self, gap):
+        ann = make_ann([(0.0, 1.0, "C:maj"), (1.0 + gap * TIME_STEP, 2.0, "G:maj")])
+        assert [(s, e) for s, e, _ in ann.segments] == [(0.0, 1.0), (1.0, 2.0)]
+
+    def test_gap_of_two_steps_is_filled(self):
+        ann = make_ann([(0.0, 1.0, "C:maj"), (1.0 + 2 * TIME_STEP, 2.0, "G:maj")])
+        assert [(s, e, harte.format_chord(l)) for s, e, l in ann.segments] == [
+            (0.0, 1.0, "C:maj"), (1.0, 1.0 + 2 * TIME_STEP, "N"),
+            (1.0 + 2 * TIME_STEP, 2.0, "G:maj")]
+
     def test_gap_filling(self):
         ann = make_ann([(1.0, 2.0, "C:maj")], duration=3.0)
         labels = [harte.format_chord(l) for _, _, l in ann.segments]
@@ -265,6 +332,58 @@ class TestFileIO:
                 load_annotation(path)
             return
         ann = load_annotation(path)
+        save_annotation(ann, tmp_path / "again.tsv")
+        assert load_annotation(tmp_path / "again.tsv").segments == tuple(
+            (round(s, TIME_DECIMALS), round(e, TIME_DECIMALS), label)
+            for s, e, label in ann.segments)
+
+    @pytest.mark.parametrize("text, boundary", [
+        ("0\t1\tC:maj\n1.0000001\t10\tG:maj\n", "1.000000"),
+        ("0\t1.0000005003\tC:maj\n1.0000004998\t10\tG:maj\n", "1.000001"),
+        ("0.0000004\t5\tC:maj\n5\t10\tG:maj\n", "0.000000"),
+    ], ids=["gap", "overlap", "leading-gap"])
+    def test_boundaries_within_a_step_are_joined(self, tmp_path, text, boundary):
+        path = tmp_path / "song.tsv"
+        path.write_text(text, encoding="utf-8")
+        save_annotation(load_annotation(path), tmp_path / "again.tsv")
+        lines = (tmp_path / "again.tsv").read_text().splitlines()
+        assert len(lines) == 2 and boundary in lines[0].split("\t") + lines[1].split("\t")
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_what_loads_with_near_boundaries_is_written_and_loads_back(self, tmp_path, data):
+        """Lines in time order whose boundaries are shared, or apart by a gap
+        or an overlap shorter than one step (some shorter than TIME_EPS), with
+        0-10 decimals: load_annotation refuses the text, or what it returns is
+        written and loads back as its segments rounded to TIME_DECIMALS."""
+        unit = 10**10  # times in tenths of a nanosecond
+        def text(t):
+            whole, frac = divmod(t, unit)
+            return f"{whole}.{frac:010d}".rstrip("0").rstrip(".")
+        ends, t = [], 0
+        for step in data.draw(st.lists(st.one_of(st.integers(1, 30_000),
+                                                 st.integers(1, 3 * unit)), min_size=1,
+                                       max_size=8)):
+            t += step
+            if data.draw(st.booleans()):  # the end's decimals, 0-10
+                cut = 10 ** data.draw(st.integers(0, 10))
+                ends.append(max(t // cut * cut, 1))
+            else:  # near half a step, where rounding splits close times apart
+                ends.append(t // 10_000 * 10_000 + 5_000 + data.draw(st.integers(-5, 5)))
+        near = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-9_999, 9_999))
+        lines, prev_end = [], 0
+        for end in ends:
+            start = max(prev_end + data.draw(near), 0)
+            label = data.draw(st.sampled_from(["C:maj", "A:min7", "N", "G:7(b9)"]))
+            lines.append(f"{text(start)}\t{text(end)}\t{label}\n")
+            prev_end = end
+        path = tmp_path / "song.tsv"
+        path.write_text("".join(lines), encoding="utf-8")
+        try:
+            ann = load_annotation(path)
+        except ChordkitError:
+            return
         save_annotation(ann, tmp_path / "again.tsv")
         assert load_annotation(tmp_path / "again.tsv").segments == tuple(
             (round(s, TIME_DECIMALS), round(e, TIME_DECIMALS), label)

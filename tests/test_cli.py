@@ -680,6 +680,60 @@ class TestLabelFilesLoad:
         assert _one_json_error(capsys)["error"] == "NonMonotoneTimes"
         assert not (tmp_path / "aug").exists()
 
+    @pytest.mark.parametrize("text, boundaries", [
+        ("0\t1\tC:maj\n1.0000001\t10\tG:maj\n", ["0.000000", "1.000000", "10.000000"]),
+        ("0\t1.0000005003\tC:maj\n1.0000004998\t10\tG:maj\n",
+         ["0.000000", "1.000001", "10.000000"]),
+        ("0.0000004\t5\tC:maj\n5\t10\tG:maj\n", ["0.000000", "5.000000", "10.000000"]),
+    ], ids=["gap", "overlap", "leading-gap"])
+    def test_boundaries_within_a_step_are_joined_by_every_reader(self, dataset, trained, tmp_path,
+                                                                 capsys, text, boundaries):
+        """What eval reads, augment and perfect division write back."""
+        ann = tmp_path / "near.tsv"
+        ann.write_text(text)
+        capsys.readouterr()
+        assert run(["eval", "--ref", ann, "--est", ann]) == 0
+        assert capsys.readouterr().out.strip() == "100.0"
+        assert run(["augment", "--features", dataset / "song_0000.cqtf", "--ann", ann,
+                    "--shift", 2, "--out", tmp_path / "aug"]) == 0
+        assert run(["predict", "--model", trained / "model.npz",
+                    "--features", dataset / "song_0000.cqtf", "--beat-division", "perfect",
+                    "--ann", ann, "--out", tmp_path / "pred"]) == 0
+        for labels in (tmp_path / "aug" / "song_0000_shift+2.tsv",
+                       tmp_path / "pred" / "labels.tsv"):
+            rows = [line.split("\t") for line in labels.read_text().splitlines()]
+            assert [rows[0][0], rows[0][1], rows[1][1]] == boundaries
+            assert rows[0][1] == rows[1][0]
+
+    def test_failed_predict_leaves_no_out_it_made(self, dataset, trained, tmp_path, capsys):
+        beats = tmp_path / "beats.txt"
+        beats.write_text("0\n0.0000004\n1\n2\n")
+        assert run(["predict", "--model", trained / "model.npz",
+                    "--features", dataset / "song_0000.cqtf", "--beat-file", beats,
+                    "--out", tmp_path / "pred_tiny"]) == 1
+        assert _one_json_error(capsys)["error"] == "NonMonotoneTimes"
+        assert not (tmp_path / "pred_tiny").exists()
+
+    @pytest.mark.parametrize("out", ["s", "n/a/s"], ids=["out", "out-and-parents"])
+    def test_failed_smooth_leaves_no_out_it_made(self, tmp_path, capsys, out):
+        from chordkit.vocab import manifest_hash, vocabulary_170
+        post = tmp_path / "post.npz"
+        model.save_posteriors(post, np.full((2, 170), 1.0 / 170), manifest_hash(vocabulary_170()),
+                              0.1, [(0.0, 4e-7), (4e-7, 2.0)])
+        assert run(["smooth", "--post", post, "--out", tmp_path / out]) == 1
+        assert _one_json_error(capsys)["error"] == "NonMonotoneTimes"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["post.npz"]
+
+    def test_failed_run_keeps_an_out_that_existed(self, dataset, trained, tmp_path, capsys):
+        beats, out = tmp_path / "beats.txt", tmp_path / "kept"
+        beats.write_text("0\n0.0000004\n1\n2\n")
+        out.mkdir()
+        assert run(["predict", "--model", trained / "model.npz",
+                    "--features", dataset / "song_0000.cqtf", "--beat-file", beats,
+                    "--out", out]) == 1
+        assert _one_json_error(capsys)["error"] == "NonMonotoneTimes"
+        assert out.is_dir() and not any(out.iterdir())
+
     def test_synth_never_writes_a_tail_that_rounds_to_nothing(self, tmp_path, capsys):
         assert run(["synth", "--n", 1, "--seed", 7, "--duration", 1.8715923,
                     "--out", tmp_path]) == 0

@@ -340,6 +340,10 @@ class TestBeatIntervals:
             load_beats(path)
         assert exc.value.line_no == line_no
 
+    def test_first_bad_interval_is_named(self):
+        with pytest.raises(EmptyBeatList, match=r"^interval 2 \(2.5, 3.0\) is off a time axis$"):
+            BeatIntervals(intervals=((0.0, 1.0), (1.0, 2.0), (2.5, 3.0)))
+
     def test_intervals_start_at_zero_or_later(self):
         assert is_time_axis([(0.0, 0.5), (0.5, 1.0)])
         assert not is_time_axis([(-1.0, 0.5), (0.5, 1.0)])

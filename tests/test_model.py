@@ -988,6 +988,14 @@ class TestPosteriorsFile:
         with pytest.raises(BadPosteriors):
             load_posteriors(path, V26)
 
+    def test_first_bad_row_is_named(self, tmp_path):
+        post = np.full((3, V26.size), 1.0 / V26.size)
+        save_posteriors(tmp_path / "p.npz", post, manifest_hash(V26), 0.1,
+                        ((0.0, 1.0), (1.5, 2.0), (2.0, 3.0)))
+        with pytest.raises(BadPosteriors, match=r": row 1 interval \(1.5, 2.0\) is off a time "
+                                                r"axis$"):
+            load_posteriors(tmp_path / "p.npz", V26)
+
     def test_rows_before_time_zero_rejected(self, tmp_path):
         post = np.full((2, V26.size), 1.0 / V26.size)
         save_posteriors(tmp_path / "p.npz", post, manifest_hash(V26), 0.1,
