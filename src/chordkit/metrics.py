@@ -4,6 +4,12 @@ and discrete-frame confusion matrices.
 WCSR = 100 * (total correct time) / (total time where the comparator is
 defined), accumulated over songs by interval intersection rather than frame
 counting. Reference X symbols are always ignored (undefined).
+
+Each scored (reference, estimate) pair is intersected once: its read-only
+:func:`refinement` (piece durations, reference ids, every comparator's
+verdicts) is cached on the estimate path, keyed by the identity of the
+reference path and of ``vocab.tables``. Paths are immutable, so it cannot go
+stale; every comparator, pooled score and class-wise table reads it.
 """
 
 from __future__ import annotations
@@ -37,15 +43,23 @@ class Verdict(enum.Enum):
 
 class TimedPath:
     """Contiguous (start, end, chord_id) coverage of one song's timeline, held once
-    as read-only ``columns`` made from its rows: (start, end, id) triples or an [n, 3] array."""
+    as read-only ``columns`` made from its rows: (start, end, id) triples or an [n, 3] array.
 
-    __slots__ = ("columns",)
+    ``refined`` holds the last :func:`refinement` scored with this path as the
+    estimate; it is not part of the path's value, nor of its copies or pickles.
+    """
+
+    __slots__ = ("columns", "refined")
 
     def __init__(self, intervals=()):
         table = np.array(np.reshape(intervals, (-1, 3)).T, dtype=np.float64, order="C")
         self.columns = table[0], table[1], table[2].astype(np.int64)
         for column in self.columns:
             column.flags.writeable = False
+        self.refined = None
+
+    def __reduce__(self):
+        return TimedPath, (np.column_stack(self.columns),)
 
     @property
     def intervals(self) -> tuple[tuple[float, float, int], ...]:
@@ -126,16 +140,39 @@ def intersect(ref, est):
     return (end - start)[inside], r_id[ri[inside]], e_id[ei[inside]]
 
 
-_NO_PIECES = (np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+def refinement(ref: TimedPath, est: TimedPath, vocab: Vocabulary):
+    """(duration, ref_id, verdicts) of one song pair's common refinement, in
+    time order: ``verdicts`` is [len(MetricKind), P] int8, one row per
+    comparator in MetricKind order. Built by one :func:`intersect` and kept on
+    ``est`` for this ``ref`` and ``vocab.tables``; the arrays are read-only."""
+    tables = vocab.tables
+    cached = est.refined
+    if cached is not None and cached[0] is ref and cached[1] is tables:
+        return cached[2]
+    dur, ref_ids, est_ids = intersect(ref.columns, est.columns)
+    cells = check_ids(ref_ids, vocab) * vocab.size + check_ids(est_ids, vocab)
+    verdicts = np.empty((len(MetricKind), len(cells)), dtype=np.int8)
+    for row, kind in zip(verdicts, MetricKind):
+        tables.verdicts[kind.value].take(cells, out=row)
+    pieces = dur, ref_ids, verdicts
+    for array in pieces:
+        array.flags.writeable = False
+    est.refined = ref, tables, pieces
+    return pieces
+
+
+_ROWS = {kind: row for row, kind in enumerate(MetricKind)}
+_NO_PIECES = (np.empty(0), np.empty(0, dtype=np.int64),
+              np.empty((len(MetricKind), 0), dtype=np.int8))
 
 
 def _defined_pieces(kind: MetricKind, songs, vocab: Vocabulary):
     """(duration, ref_id, correct) of every piece where the comparator is
     defined, all songs in time order; raises ZeroDefinedTime if there is none."""
-    pieces = (intersect(ref.columns, est.columns) for ref, est in songs)
-    columns = zip(_NO_PIECES, *pieces)
-    dur, ref, est = (np.concatenate(column) for column in columns)
-    verdict = vocab.tables.verdicts[kind.value][check_ids(ref, vocab), check_ids(est, vocab)]
+    pieces = [refinement(ref, est, vocab) for ref, est in songs]
+    dur, ref, verdicts = pieces[0] if len(pieces) == 1 else (
+        np.concatenate(column, axis=-1) for column in zip(_NO_PIECES, *pieces))
+    verdict = verdicts[_ROWS[kind]]
     defined = verdict >= 0
     if not defined.any():
         raise ZeroDefinedTime("comparator undefined everywhere")

@@ -598,6 +598,26 @@ class TestReport:
                     "--out", tmp_path / "r"]) == 1
         assert _one_json_error(capsys)["error"] == "LengthMismatch"
 
+    def test_each_song_pair_is_intersected_once(self, dataset, trained, tmp_path, monkeypatch):
+        ref, est = tmp_path / "ref", tmp_path / "est"
+        ref.mkdir()
+        est.mkdir()
+        for tsv in sorted(dataset.glob("*.tsv"))[:4]:
+            (ref / tsv.name).write_bytes(tsv.read_bytes())
+            assert run(["predict", "--model", trained / "model.npz", "--features",
+                        tsv.with_suffix(".cqtf"), "--out", tmp_path / tsv.stem]) == 0
+            (est / tsv.name).write_bytes((tmp_path / tsv.stem / "labels.tsv").read_bytes())
+        calls = []
+        intersect = metrics.intersect
+
+        def counted(*timelines):
+            calls.append(1)
+            return intersect(*timelines)
+
+        monkeypatch.setattr(metrics, "intersect", counted)
+        assert run(["report", "--ref-dir", ref, "--est-dir", est, "--out", tmp_path / "r"]) == 0
+        assert len(calls) == 4
+
     def test_eval_scores_early_ending_estimate_like_report(self, dataset, tmp_path, capsys):
         """An estimate cut at 5 s of a 10 s song reads as N for the rest, in
         eval as in report."""

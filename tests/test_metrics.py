@@ -1,16 +1,23 @@
+import copy
+import pickle
+import statistics
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from chordkit import metrics
 from chordkit.annotate import fill_gaps
-from chordkit.errors import LengthMismatch, ZeroDefinedTime
+from chordkit.errors import IdOutOfRange, LengthMismatch, ZeroDefinedTime
 from chordkit.harte import parse_chord, pitch_class_set
 from chordkit.metrics import (MetricKind, TimedPath, Verdict, adjust_estimate,
                               class_wise_scores, compare_labels,
                               confusion_matrix, path_from_annotation,
                               path_from_frames, quality_axis, root_axis, wcsr)
-from chordkit.vocab import id_label, map_label, vocabulary_170
+from chordkit.vocab import check_ids, id_label, map_label, vocabulary_26, vocabulary_170
 
 V = vocabulary_170()
+V26 = vocabulary_26()
 
 
 def cid(text):
@@ -337,3 +344,202 @@ class TestFrameSampling:
             correct += v is Verdict.CORRECT
         sampled = 100.0 * correct / defined
         assert abs(sampled - continuous) < 0.2
+
+
+# --- one refinement per pair against the per-call formula it replaced ---
+
+def percall_intersect(ref, est):
+    r_start, r_end, r_id = ref
+    e_start, e_end, e_id = est
+    edges = np.unique(np.concatenate([r_start, r_end, e_start, e_end]))
+    start, end = edges[:-1], edges[1:]
+    mid = (start + end) / 2
+    ri = np.searchsorted(r_end, mid, side="right")
+    ei = np.searchsorted(e_end, mid, side="right")
+    inside = (ri < len(r_end)) & (ei < len(e_end))
+    inside[inside] = (r_start[ri[inside]] <= mid[inside]) & (e_start[ei[inside]] <= mid[inside])
+    return (end - start)[inside], r_id[ri[inside]], e_id[ei[inside]]
+
+
+def percall_pieces(kind, songs, vocab):
+    """Every pair intersected again on each call, as scoring did before refinements."""
+    no_pieces = (np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    pieces = (percall_intersect(ref.columns, est.columns) for ref, est in songs)
+    dur, ref, est = (np.concatenate(column) for column in zip(no_pieces, *pieces))
+    verdict = vocab.tables.verdicts[kind.value][check_ids(ref, vocab), check_ids(est, vocab)]
+    defined = verdict >= 0
+    if not defined.any():
+        raise ZeroDefinedTime("comparator undefined everywhere")
+    return dur[defined], ref[defined], verdict[defined] == 1
+
+
+def percall_total(durations):
+    return float(np.cumsum(durations)[-1]) if len(durations) else 0.0
+
+
+def percall_accumulate(kind, songs, vocab):
+    dur, ref, correct = percall_pieces(kind, songs, vocab)
+    right = np.bincount(ref, dur * correct, vocab.size).tolist()
+    defined = np.bincount(ref, dur, vocab.size).tolist()
+    per_class = {c: [right[c], defined[c]] for c in np.unique(ref).tolist()}
+    return percall_total(dur[correct]), percall_total(dur), per_class
+
+
+def percall_wcsr(kind, songs, vocab):
+    dur, _, correct = percall_pieces(kind, songs, vocab)
+    return 100.0 * percall_total(dur[correct]) / percall_total(dur)
+
+
+def percall_class_wise(kind, songs, vocab):
+    _, _, per_class = percall_accumulate(kind, songs, vocab)
+    table = {c: 100.0 * corr / z for c, (corr, z) in sorted(per_class.items()) if z > 0}
+    scores = list(table.values())
+    return statistics.mean(scores), statistics.median(scores), table
+
+
+SCORERS = ((wcsr, percall_wcsr), (metrics._accumulate, percall_accumulate),
+           (class_wise_scores, percall_class_wise))
+
+
+def outcome(score, *args):
+    """A score's value, or the type of the scoring error it raised."""
+    try:
+        return score(*args)
+    except (ZeroDefinedTime, IdOutOfRange) as exc:
+        return type(exc)
+
+
+def fresh(songs):
+    """New path objects with the same rows, so nothing is cached on them."""
+    return [(TimedPath(ref.intervals), TimedPath(est.intervals)) for ref, est in songs]
+
+
+def assert_scores_equal_percall(songs, vocab, kinds=tuple(MetricKind)):
+    for kind in kinds:
+        for score, percall in SCORERS:
+            assert outcome(score, kind, songs, vocab) == outcome(percall, kind, fresh(songs), vocab)
+
+
+@st.composite
+def gappy_paths(draw, vocab):
+    """A path with gaps, N and X, its ids drawn from ``vocab``."""
+    chord = st.integers(0, vocab.n_id - 1)
+    chord_id = st.one_of(chord, chord, st.sampled_from([vocab.n_id, vocab.x_id]))
+    rows, t = [], draw(st.sampled_from([0.0, 0.0, 0.5]))
+    for gap, length, cid_ in draw(st.lists(st.tuples(
+            st.sampled_from([0.0, 0.0, 0.0, 0.25, 1.5]), st.floats(0.01, 6.0), chord_id),
+            max_size=12)):
+        rows.append((t + gap, t + gap + length, cid_))
+        t += gap + length
+    return TimedPath(tuple(rows))
+
+
+@st.composite
+def scored_songs(draw, vocab):
+    pairs = st.tuples(gappy_paths(vocab), gappy_paths(vocab))
+    return draw(st.lists(pairs, min_size=1, max_size=3))
+
+
+class TestRefinement:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_scored_once_equals_percall(self, data):
+        vocab = data.draw(st.sampled_from([V26, V]))
+        songs = data.draw(scored_songs(vocab))
+        kind = data.draw(st.sampled_from(list(MetricKind)))
+        for score, percall in SCORERS:
+            once = fresh(songs)
+            assert outcome(score, kind, once, vocab) == outcome(percall, kind, fresh(songs), vocab)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_scored_many_times_and_pooled_equals_percall(self, data):
+        vocab = data.draw(st.sampled_from([V26, V]))
+        songs = data.draw(scored_songs(vocab))
+        kinds = data.draw(st.permutations(list(MetricKind)))
+        for song in songs:
+            for _ in range(2):
+                assert_scores_equal_percall([song], vocab, kinds)
+        for _ in range(2):
+            assert_scores_equal_percall(songs, vocab, kinds)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_estimate_scored_elsewhere_first_equals_percall(self, data):
+        vocab = data.draw(st.sampled_from([V26, V]))
+        songs = data.draw(scored_songs(vocab))
+        other_ref = data.draw(gappy_paths(vocab))
+        other_vocab = V26 if vocab is V else V
+        kinds = data.draw(st.permutations(list(MetricKind)))
+        (ref, est), rest = songs[0], songs[1:]
+        for first in ([(other_ref, est)], vocab), ([(ref, est)], other_vocab):
+            assert_scores_equal_percall(*first, kinds)
+            assert_scores_equal_percall(songs, vocab, kinds)
+            assert_scores_equal_percall([(ref, est)], vocab, kinds)
+        # pooled first, then the estimate under the other vocabulary and reference
+        assert_scores_equal_percall(rest + [(other_ref, est)], other_vocab, kinds)
+        assert_scores_equal_percall(songs, vocab, kinds)
+
+    def test_id_outside_a_vocabulary_raises_with_another_cached(self):
+        ref = TimedPath(((0.0, 2.0, 100), (2.0, 3.0, V.n_id)))
+        est = TimedPath(((0.0, 2.0, 100), (2.0, 3.0, 5)))
+        assert wcsr(MetricKind.ACC, [(ref, est)], V) == pytest.approx(200.0 / 3.0)
+        cached = est.refined
+        assert cached is not None
+        for scored in ([(ref, est)], [(TimedPath(((0.0, 3.0, 5),)), est)]):
+            with pytest.raises(IdOutOfRange, match=r"id 100 outside \[0, 26\)"):
+                wcsr(MetricKind.ACC, scored, V26)
+        # a refusal caches nothing
+        assert est.refined is cached
+        assert wcsr(MetricKind.ACC, [(ref, est)], V) == pytest.approx(200.0 / 3.0)
+
+    def test_one_intersection_per_pair(self, monkeypatch):
+        calls = []
+        intersect = metrics.intersect
+
+        def counted(ref, est):
+            calls.append(1)
+            return intersect(ref, est)
+
+        monkeypatch.setattr(metrics, "intersect", counted)
+        songs = paths([(0.0, 2.0, "C:maj"), (2.0, 4.0, "G:7")],
+                      [(0.0, 3.0, "C:maj"), (3.0, 4.0, "G:maj")])
+        for kind in MetricKind:
+            wcsr(kind, songs, V)
+        assert len(calls) == 1
+        class_wise_scores(MetricKind.ACC, songs + songs, V)
+        assert len(calls) == 1
+        wcsr(MetricKind.ACC, fresh(songs), V)
+        assert len(calls) == 2
+
+    def test_pieces_are_read_only_and_cached_on_the_estimate(self):
+        [(ref, est)] = paths([(0.0, 2.0, "C:maj"), (2.0, 4.0, "X")],
+                             [(0.0, 3.0, "C:min"), (3.0, 4.0, "N")])
+        pieces = metrics.refinement(ref, est, V)
+        assert metrics.refinement(ref, est, V) is pieces
+        assert est.refined == (ref, V.tables, pieces) and ref.refined is None
+        dur, ref_ids, verdicts = pieces
+        assert dur.tolist() == [2.0, 1.0, 1.0] and ref_ids.tolist() == [0, V.x_id, V.x_id]
+        assert verdicts.shape == (len(MetricKind), 3) and verdicts.dtype == np.int8
+        for row, kind in zip(verdicts, MetricKind):
+            assert row.tolist() == [compare_labels(kind, r, e, V).value for r, e in
+                                    ((0, cid("C:min")), (V.x_id, cid("C:min")), (V.x_id, V.n_id))]
+        for array in pieces:
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+    def test_cache_leaves_equality_hash_copies_and_pickles_alone(self):
+        [(ref, est)] = paths([(0.0, 2.0, "C:maj"), (2.0, 4.0, "G:maj")],
+                             [(0.0, 3.0, "C:maj"), (3.0, 4.0, "A:min")])
+        unscored = TimedPath(est.intervals)
+        before = pickle.dumps(est)
+        for kind in MetricKind:
+            wcsr(kind, [(ref, est)], V)
+        assert est.refined is not None
+        assert est == unscored and hash(est) == hash(unscored)
+        assert pickle.dumps(est) == before == pickle.dumps(unscored)
+        for copied in (copy.deepcopy(est), copy.copy(est), pickle.loads(pickle.dumps(est))):
+            assert copied == est and hash(copied) == hash(est)
+            assert copied.refined is None
+            assert all(not column.flags.writeable for column in copied.columns)
+            assert wcsr(MetricKind.ACC, [(ref, copied)], V) == wcsr(MetricKind.ACC, [(ref, est)], V)
