@@ -4,7 +4,9 @@ Subcommands: train, predict, smooth, eval, report, synth, augment,
 check-align. Every run writes a JSON manifest next to its outputs with the
 exact configuration needed to reproduce it. Structured outputs go to
 --out; logs go to stderr. Exit codes: 0 success, 1 runtime failure,
-2 argument errors.
+2 argument errors. :func:`main` makes --out before the command runs, so
+its error comes first, and any failure removes the directories it made
+that are still empty.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, annotate, decode, features, metrics, model, synthgen
-from .errors import ChordkitError, ZeroDefinedTime
+from .errors import ChordkitError, EmptySequence, ZeroDefinedTime
 from .metrics import MetricKind
 from .vocab import VOCABULARIES, get_vocabulary, id_label
 
@@ -33,13 +35,6 @@ TRAIN_FIELDS = {"epochs": "epochs", "batch_size": "batch_size", "patch_seconds":
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _out_dir(args: argparse.Namespace) -> Path:
-    """The --out directory, created with its parents if missing."""
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
 
 
 def _write_json(path: Path, data) -> None:
@@ -107,14 +102,13 @@ def _write_labels(ids, hop: float, intervals, vocab, out: Path) -> None:
 
 # --- subcommands ---
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
-    # every input is checked before --out is made; each song lasts cfg.duration
     cfg = synthgen.ProgressionConfig(duration=args.duration)
     grid = annotate.grid_for(cfg.duration, hop=args.hop)
     render = features.RenderParams(noise_db=args.noise)
-    out_dir = _out_dir(args)
+    out_dir = Path(args.out)
     songs, outputs = [], []
     for i in range(args.n):
         seed = args.seed * 1_000_003 + i
@@ -129,10 +123,9 @@ def cmd_synth(args) -> int:
                 {"songs": songs, "noise_db": args.noise, "hop": args.hop})
     _write_manifest(out_dir, args, [], outputs + ["dataset.json"])
     _log(f"wrote {args.n} synthetic songs to {out_dir}")
-    return 0
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     cfg = model.TrainConfig(seed=args.seed,
                             **{name: getattr(args, dest) for dest, name in TRAIN_FIELDS.items()})
     # omitted sizes take model.train's defaults
@@ -150,7 +143,7 @@ def cmd_train(args) -> int:
     val_set = _load_pairs(val_pairs)
     params, history = model.train(train_set, val_set, cfg, vocab,
                                   arch=args.arch, **sizes)
-    out_dir = _out_dir(args)
+    out_dir = Path(args.out)
     model.save_checkpoint(params, out_dir / "model.npz")
     with open(out_dir / "history.jsonl", "w", encoding="utf-8") as fh:
         for record in history:
@@ -159,10 +152,9 @@ def cmd_train(args) -> int:
                     [str(p) for p, _ in pairs], ["model.npz", "history.jsonl"],
                     hidden_units=params.hidden_units, context=params.context)
     _log(f"trained {args.arch} model on {len(train_set)} songs -> {out_dir / 'model.npz'}")
-    return 0
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> None:
     # no division means the default one with a beat file, frame-wise without;
     # a beat flag the chosen mode does not read is an error
     division = args.beat_division or (features.DEFAULT_BEAT_DIVISION if args.beat_file else None)
@@ -190,27 +182,25 @@ def cmd_predict(args) -> int:
         intervals = beats.intervals
     post, _, _ = model.forward(params, feat)
     ids = np.argmax(post, axis=1)
-    out_dir = _out_dir(args)
+    out_dir = Path(args.out)
     _write_labels(ids, feat.hop, intervals, vocab, out_dir / "labels.tsv")
     model.save_posteriors(out_dir / "posteriors.npz", post, params.vocab_hash,
                           feat.hop, intervals)
     _write_manifest(out_dir, args, [args.model, args.features],
                     ["labels.tsv", "posteriors.npz"], beat_division=division)
     _log(f"wrote predictions to {out_dir}")
-    return 0
 
 
-def cmd_smooth(args) -> int:
+def cmd_smooth(args) -> None:
     vocab = get_vocabulary(args.vocab)
     post, hop, intervals = model.load_posteriors(args.post, vocab)
     cfg = decode.DecoderConfig(beta=args.beta, n_classes=post.shape[1],
                                mode="max_marginal" if args.max_marginal else "viterbi")
     ids = decode.viterbi_smooth(post, cfg)
-    out_dir = _out_dir(args)
+    out_dir = Path(args.out)
     _write_labels(ids, hop, intervals, vocab, out_dir / "labels.tsv")
     _write_manifest(out_dir, args, [args.post], ["labels.tsv"])
     _log(f"smoothed {post.shape[0]} rows (beta={args.beta}) -> {out_dir}")
-    return 0
 
 
 def _scored_pair(ref_ann, est_ann, vocab):
@@ -219,13 +209,12 @@ def _scored_pair(ref_ann, est_ann, vocab):
     return ref, metrics.adjust_estimate(ref, metrics.path_from_annotation(est_ann, vocab), vocab)
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     vocab = get_vocabulary(args.vocab)
     pair = _scored_pair(annotate.load_annotation(args.ref), annotate.load_annotation(args.est),
                         vocab)
     score = metrics.wcsr(MetricKind(args.metric), [pair], vocab)
     print(f"{score:.1f}")
-    return 0
 
 
 def _score(kind: MetricKind, songs, vocab):
@@ -237,7 +226,7 @@ def _score(kind: MetricKind, songs, vocab):
         return None
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> None:
     vocab = get_vocabulary(args.vocab)
     ref_dir, est_dir = Path(args.ref_dir), Path(args.est_dir)
     names = sorted(p.name for p in ref_dir.glob("*.tsv") if (est_dir / p.name).exists())
@@ -246,11 +235,13 @@ def cmd_report(args) -> int:
     songs, frame_pairs, per_song = [], [], []
     for name in names:
         ref_ann = annotate.load_annotation(ref_dir / name)
+        grid = annotate.grid_for(ref_ann.duration, hop=args.hop)
+        if not grid.n_frames:
+            raise EmptySequence(f"reference {ref_dir / name} spans no frame")
         est_ann = annotate.load_annotation(est_dir / name)
         ref_path, est_path = _scored_pair(ref_ann, est_ann, vocab)
         songs.append((ref_path, est_path))
         # frames past the estimate's end read as N
-        grid = annotate.grid_for(ref_ann.duration, hop=args.hop)
         ref_ids = annotate.frame_labels(ref_ann, grid, vocab)
         est_ids = annotate.frame_labels(est_ann, grid, vocab)
         frame_pairs.append((ref_ids, est_ids))
@@ -269,7 +260,7 @@ def cmd_report(args) -> int:
     lengths = Counter(length for ref_ids, est_ids in frame_pairs
                       for _, length, _ in decode.incorrect_regions(est_ids, ref_ids))
 
-    out_dir = _out_dir(args)
+    out_dir = Path(args.out)
     _write_csv(out_dir / "per_song.csv", list(per_song[0]),
                [row.values() for row in per_song])
     _write_json(out_dir / "report.json", {
@@ -290,29 +281,26 @@ def cmd_report(args) -> int:
                     ["per_song.csv", "report.json", "confusion_quality.csv",
                      "confusion_root.csv", "incorrect_region_lengths.csv"])
     _log(f"report over {len(songs)} songs -> {out_dir}")
-    return 0
 
 
-def cmd_augment(args) -> int:
+def cmd_augment(args) -> None:
     feat = features.load_features(args.features)
     ann = annotate.load_annotation(args.ann)
     shifted = features.pitch_shift_cqt(feat, args.shift)
     transposed = annotate.transpose_annotation(ann, args.shift)
-    out_dir = _out_dir(args)
+    out_dir = Path(args.out)
     stem = Path(args.features).stem + f"_shift{args.shift:+d}"
     annotate.save_annotation(transposed, out_dir / f"{stem}.tsv")
     features.save_features(shifted, out_dir / f"{stem}.cqtf")
     _write_manifest(out_dir, args, [args.features, args.ann],
                     [f"{stem}.cqtf", f"{stem}.tsv"])
     _log(f"shifted by {args.shift} semitones -> {out_dir / stem}.*")
-    return 0
 
 
-def cmd_check_align(args) -> int:
+def cmd_check_align(args) -> None:
     [(feat, ann)] = _load_pairs([(args.features, args.ann)])
     lag = annotate.alignment_lag(feat, ann, window_frames=args.window)
     print(lag)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,16 +388,21 @@ def main(argv=None) -> int:
     out = getattr(args, "out", None)
     missing = [] if out is None else [p for p in (Path(out), *Path(out).parents) if not p.exists()]
     try:
-        return args.func(args)
+        if out is not None:
+            Path(out).mkdir(parents=True, exist_ok=True)
+        args.func(args)
+        missing = []  # a run that succeeds keeps what it made
+        return 0
     except (ChordkitError, OSError, ValueError) as exc:
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
+              file=sys.stderr)
+        return 1
+    finally:
         # a failed run leaves no --out it made, nor its parents; rmdir, deepest
         # first, refuses a directory that holds anything
         for path in missing:
             with contextlib.suppress(OSError):
                 path.rmdir()
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

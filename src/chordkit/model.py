@@ -647,6 +647,8 @@ def train(dataset, val, cfg: TrainConfig, vocab: Vocabulary, arch: str = DEFAULT
     n_bins, hop = dataset[0][0].n_bins, dataset[0][0].hop
     for what, songs in (("training", dataset), ("validation", val)):
         for i, (feat, _) in enumerate(songs):
+            if feat.n_frames == 0:
+                raise EmptyDataset(f"{what} song {i} has no frames")
             if feat.n_bins != n_bins:
                 raise DimensionMismatch(f"{what} song {i} has {feat.n_bins} bins; "
                                         f"song 0 has {n_bins}")

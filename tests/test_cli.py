@@ -140,6 +140,25 @@ class TestTrain:
         assert err["error"] == "DimensionMismatch" and "hop 0.05" in err["message"]
         assert not (tmp_path / "m" / "model.npz").exists()
 
+    @pytest.mark.parametrize("name, what", [("song_0004_empty", "validation"),
+                                            ("song_empty", "training")])
+    def test_song_with_no_frames_exits_one(self, dataset, tmp_path, capsys, name, what):
+        # seed 0 splits 7 songs 4/1/2: the 6th by name is validated, the 7th trained on
+        data = tmp_path / "data"
+        data.mkdir()
+        for path in dataset.glob("song_*"):
+            (data / path.name).write_bytes(path.read_bytes())
+        feat = features.load_features(dataset / "song_0000.cqtf")
+        features.save_features(features.FeatureMatrix(np.zeros((0, feat.n_bins), np.float32),
+                                                      feat.hop), data / f"{name}.cqtf")
+        (data / f"{name}.tsv").write_text("")
+        capsys.readouterr()
+        assert run(["train", "--data", data, "--epochs", 2, "--out", tmp_path / "m" / "run"]) == 1
+        err = _one_json_error(capsys)
+        assert err["error"] == "EmptyDataset"
+        assert err["message"].startswith(what) and err["message"].endswith("has no frames")
+        assert not (tmp_path / "m").exists()
+
 
 class TestPredictSmoothEval:
     def test_pipeline(self, dataset, trained, tmp_path, capsys):
@@ -583,6 +602,19 @@ class TestReport:
         assert _one_json_error(capsys)["error"] == "ZeroDefinedTime"
         assert not (tmp_path / "report").exists()
 
+    def test_reference_that_spans_no_frame_is_named(self, dataset, tmp_path, capsys):
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        (ref / "song_0000.tsv").write_text("")
+        (ref / "song_0001.tsv").write_bytes((dataset / "song_0001.tsv").read_bytes())
+        capsys.readouterr()
+        assert run(["report", "--ref-dir", ref, "--est-dir", dataset,
+                    "--out", tmp_path / "report"]) == 1
+        err = _one_json_error(capsys)
+        assert err["error"] == "EmptySequence"
+        assert err["message"] == f"reference {ref / 'song_0000.tsv'} spans no frame"
+        assert not (tmp_path / "report").exists()
+
     def test_per_song_error_other_than_undefined_fails(self, dataset, tmp_path, capsys,
                                                          monkeypatch):
         wcsr = metrics.wcsr
@@ -743,6 +775,26 @@ class TestLabelFilesLoad:
         assert run(["smooth", "--post", post, "--out", tmp_path / out]) == 1
         assert _one_json_error(capsys)["error"] == "NonMonotoneTimes"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["post.npz"]
+
+    def test_unexpected_exception_leaves_no_out_it_made(self, tmp_path, monkeypatch):
+        def crash(ann, path):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr(annotate, "save_annotation", crash)
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            run(["synth", "--n", 1, "--duration", 2, "--out", tmp_path / "crash" / "a" / "b"])
+        assert not (tmp_path / "crash").exists()
+
+    @pytest.mark.parametrize("duration", [2, -1], ids=["valid", "invalid-too"])
+    def test_out_that_is_a_file_exits_one_first(self, tmp_path, capsys, duration):
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"kept\n")
+        capsys.readouterr()
+        assert run(["synth", "--n", 1, "--duration", duration, "--out", taken]) == 1
+        err = _one_json_error(capsys)
+        assert err["error"] == "FileExistsError"
+        assert taken.read_bytes() == b"kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
     def test_failed_run_keeps_an_out_that_existed(self, dataset, trained, tmp_path, capsys):
         beats, out = tmp_path / "beats.txt", tmp_path / "kept"

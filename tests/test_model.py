@@ -551,6 +551,24 @@ class TestTrain:
                            match=f"^{what} song 1 has hop 0.05 s; song 0 has 0.25 s$"):
             train(songs, val, TrainConfig(epochs=1), V26)
 
+    @pytest.mark.parametrize("what", ["training", "validation"])
+    def test_song_with_no_frames_rejected_before_training(self, monkeypatch, what):
+        """A song with no frames has no loss: as the one validation song it
+        divides by zero, beside others its NaN val_loss keeps no epoch."""
+        from chordkit.annotate import Annotation
+        (feat, ann), = tiny_dataset(n_songs=1)
+        frameless = (replace(feat, data=np.zeros((0, feat.n_bins), np.float32)),
+                     Annotation((), 0.0))
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(model_mod, "_fit", no_fit)
+        songs, val = (([(feat, ann), frameless], [(feat, ann)]) if what == "training"
+                      else ([(feat, ann)], [(feat, ann), frameless]))
+        with pytest.raises(EmptyDataset, match=f"^{what} song 1 has no frames$"):
+            train(songs, val, TrainConfig(epochs=1), V26)
+
     @pytest.mark.parametrize("bins", [(216, 200), (200, 216)], ids=["216-200", "200-216"])
     def test_songs_with_other_bin_counts_rejected(self, bins):
         (feat, ann), = tiny_dataset(n_songs=1)
