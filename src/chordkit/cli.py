@@ -71,6 +71,14 @@ def _dataset_pairs(data_dir: Path):
     return pairs
 
 
+def _load_frames(path):
+    """The FeatureMatrix of a ``.cqtf`` file that holds at least one frame."""
+    feat = features.load_features(path)
+    if not feat.n_frames:
+        raise EmptySequence(f"features {path} span no frame")
+    return feat
+
+
 def _load_pairs(pairs):
     out = []
     for cqtf, tsv in pairs:
@@ -168,7 +176,7 @@ def cmd_predict(args) -> None:
     vocab = get_vocabulary(args.vocab)
     params = model.load_checkpoint(args.model)
     model.check_vocabulary("model", params.n_classes, params.vocab_hash, vocab)
-    feat = features.load_features(args.features)
+    feat = _load_frames(args.features)
     duration = feat.n_frames * feat.hop
     intervals = None
     if division is not None:
@@ -284,7 +292,7 @@ def cmd_report(args) -> None:
 
 
 def cmd_augment(args) -> None:
-    feat = features.load_features(args.features)
+    feat = _load_frames(args.features)
     ann = annotate.load_annotation(args.ann)
     shifted = features.pitch_shift_cqt(feat, args.shift)
     transposed = annotate.transpose_annotation(ann, args.shift)
@@ -393,7 +401,7 @@ def main(argv=None) -> int:
         args.func(args)
         missing = []  # a run that succeeds keeps what it made
         return 0
-    except (ChordkitError, OSError, ValueError) as exc:
+    except (ChordkitError, OSError, ValueError, MemoryError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

@@ -540,13 +540,15 @@ def _patch_batches(rng, dataset, ids_per_song, params: ModelParams, cfg: TrainCo
     patches, holding n frames, laid out block by block.
 
     Each song's patch start and optional pitch shift are drawn first, song by
-    song. A block is whole patches in one buffer of BLOCK_ROWS rows (more if
-    one patch needs them), reused by every block, so each (x, targets, mask)
-    is valid until the next is laid out. A patch is pitch-shifted as it is
-    laid out, standardized in place (== to :func:`standardize`) and followed
-    by ``params.context`` rows of 0.0, the zero padding of its frames'
-    context windows; the mask marks the patches' frames."""
-    patch_frames = max(1, round(cfg.patch_seconds / dataset[0][0].hop))
+    song; no patch is longer than the longest song. A block is whole patches
+    in one buffer of BLOCK_ROWS rows (more if one patch needs them), reused by
+    every block, so each (x, targets, mask) is valid until the next is laid
+    out. A patch is pitch-shifted as it is laid out, standardized in place
+    (== to :func:`standardize`) and followed by ``params.context`` rows of
+    0.0, the zero padding of its frames' context windows; the mask marks the
+    patches' frames."""
+    patch_frames = min(max(1, round(cfg.patch_seconds / dataset[0][0].hop)),
+                       max(feat.n_frames for feat, _ in dataset))
     patches = []  # (song, frame ids, start, frames, shift)
     for (feat, _), ids in zip(dataset, ids_per_song):
         start = int(rng.integers(0, max(1, feat.n_frames - patch_frames + 1)))

@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chordkit import annotate, cli, errors, features, metrics, model, synthgen
 from chordkit.cli import build_parser, main
+from chordkit.vocab import get_vocabulary
 
 
 def run(argv):
@@ -289,6 +292,52 @@ class TestPredictSmoothEval:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["config"]["beat_division"] == division
 
+    @pytest.mark.parametrize("mode", [[], ["--beta", "0.001"], ["--max-marginal"]],
+                             ids=["viterbi", "low-beta", "max-marginal"])
+    def test_column_major_posteriors_smooth_to_the_same_labels(self, dataset, trained, tmp_path,
+                                                               mode):
+        """np.load keeps a saved array's memory order; smooth's labels do not see it."""
+        pred = tmp_path / "pred"
+        assert run(["predict", "--model", trained / "model.npz",
+                    "--features", dataset / "song_0000.cqtf", "--out", pred]) == 0
+        with np.load(pred / "posteriors.npz") as saved:
+            arrays = {k: saved[k] for k in saved.files}
+        arrays["posteriors"] = np.asfortranarray(arrays["posteriors"])
+        np.savez(tmp_path / "fortran.npz", **arrays)
+        with np.load(tmp_path / "fortran.npz") as saved:
+            assert saved["posteriors"].flags.f_contiguous
+        for post, out in ((pred / "posteriors.npz", "c"), (tmp_path / "fortran.npz", "f")):
+            assert run(["smooth", "--post", post, *mode, "--out", tmp_path / out]) == 0
+        assert (tmp_path / "f" / "labels.tsv").read_bytes() == \
+            (tmp_path / "c" / "labels.tsv").read_bytes()
+
+    @pytest.mark.parametrize("division", ["0.5", "perfect"])
+    def test_pooled_labels_have_one_line_per_row(self, dataset, trained, tmp_path, division):
+        """predict's and smooth's label files of pooled rows hold one line per
+        posteriorgram row, on that row's interval; beats every 60/BPM s."""
+        for song in json.loads((dataset / "dataset.json").read_text())["songs"]:
+            name = song["name"]
+            if division == "perfect":
+                flags = ["--ann", dataset / f"{name}.tsv"]
+            else:
+                period = 60.0 / song["bpm"]
+                beats = tmp_path / f"{name}.txt"
+                beats.write_text("".join(f"{i * period:.6f}\n"
+                                         for i in range(int(10 / period) + 1)))
+                flags = ["--beat-file", beats]
+            pred, smooth = tmp_path / name / "pred", tmp_path / name / "smooth"
+            assert run(["predict", "--model", trained / "model.npz",
+                        "--features", dataset / f"{name}.cqtf", "--beat-division", division,
+                        *flags, "--out", pred]) == 0
+            assert run(["smooth", "--post", pred / "posteriors.npz", "--out", smooth]) == 0
+            with np.load(pred / "posteriors.npz") as saved:
+                intervals = saved["intervals"]
+            for labels in (pred / "labels.tsv", smooth / "labels.tsv"):
+                times = np.array([line.split("\t")[:2]
+                                  for line in labels.read_text().splitlines()], dtype=np.float64)
+                assert times.shape == intervals.shape, labels
+                assert np.abs(times - intervals).max() <= 1e-6, labels
+
 
 def _one_json_error(capsys):
     lines = capsys.readouterr().err.strip().splitlines()
@@ -406,6 +455,21 @@ class TestLoaderFailures:
         assert _one_json_error(capsys)["error"] == "NonFiniteFeatures"
         assert not (tmp_path / "pred" / "labels.tsv").exists()
 
+    @pytest.mark.parametrize("command", ["predict", "augment"])
+    def test_features_with_no_frames_exit_one(self, dataset, trained, tmp_path, capsys, command):
+        feat = features.load_features(dataset / "song_0000.cqtf")
+        cqtf, ann = tmp_path / "empty.cqtf", tmp_path / "empty.tsv"
+        features.save_features(features.FeatureMatrix(np.zeros((0, feat.n_bins), np.float32),
+                                                      feat.hop), cqtf)
+        ann.write_text("")
+        flags = {"predict": ["--model", trained / "model.npz"],
+                 "augment": ["--ann", ann, "--shift", 2]}[command]
+        capsys.readouterr()
+        assert run([command, "--features", cqtf, *flags, "--out", tmp_path / "out"]) == 1
+        assert _one_json_error(capsys) == {"error": "EmptySequence",
+                                           "message": f"features {cqtf} span no frame"}
+        assert not (tmp_path / "out").exists()
+
     @pytest.fixture(scope="class")
     def posteriors(self, dataset, trained, tmp_path_factory):
         pred = tmp_path_factory.mktemp("pred")
@@ -502,7 +566,7 @@ class TestLoaderFailures:
                        "message": "line 1: start -1.0 is negative"}
 
     @pytest.mark.parametrize("tail", [b"1.0\tnan\tG:maj\n", b"1.0\tinf\tG:maj\n",
-                                      b"1.0\t2.0\tG:\xe9\n"])
+                                      b"1.0\t2.0\tG:\xe9\n", b"1.0\t2.0\tC:maj(8)\n"])
     @pytest.mark.parametrize("side", ["ref", "est"])
     def test_eval_rejects_bad_annotation(self, dataset, tmp_path, capsys, tail, side):
         bad = tmp_path / "bad.tsv"
@@ -551,6 +615,46 @@ class TestReport:
             assert run(["eval", "--ref", dataset / row["song"], "--est", est / row["song"],
                         "--metric", "root"]) == 0
             assert capsys.readouterr().out.strip() == f"{float(row['root']):.1f}"
+
+    def test_every_score_is_the_wcsr_of_pairs_built_anew(self, dataset, trained, tmp_path):
+        """Each per_song.csv cell and pooled report.json score equals round(wcsr,
+        4) of pairs read anew for that one score, so no refinement is shared:
+        empty or null where the comparator is undefined (the sus4 song)."""
+        ref, est = tmp_path / "ref", tmp_path / "est"
+        ref.mkdir()
+        est.mkdir()
+        for cqtf in sorted(dataset.glob("*.cqtf")):
+            assert run(["predict", "--model", trained / "model.npz", "--features", cqtf,
+                        "--out", tmp_path / cqtf.stem]) == 0
+            for folder, labels in ((est, tmp_path / cqtf.stem / "labels.tsv"),
+                                   (ref, cqtf.with_suffix(".tsv"))):
+                (folder / f"{cqtf.stem}.tsv").write_bytes(labels.read_bytes())
+        for folder in (ref, est):
+            (folder / "sus4.tsv").write_text("0.000000\t4.000000\tC:sus4\n"
+                                              "4.000000\t8.000000\tG:sus4\n")
+        out = tmp_path / "report"
+        assert run(["report", "--ref-dir", ref, "--est-dir", est, "--out", out]) == 0
+        vocab = get_vocabulary(170)
+
+        def score(kind, names):
+            pairs = [cli._scored_pair(annotate.load_annotation(ref / name),
+                                      annotate.load_annotation(est / name), vocab)
+                     for name in names]
+            try:
+                return round(metrics.wcsr(kind, pairs, vocab), 4)
+            except errors.ZeroDefinedTime:
+                return None
+
+        with open(out / "per_song.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 7
+        pooled = json.loads((out / "report.json").read_text())["wcsr"]
+        for kind in metrics.MetricKind:
+            for row in rows:
+                cell = row[kind.value]
+                assert (float(cell) if cell else None) == score(kind, [row["song"]]), (row, kind)
+            assert pooled[kind.value] == score(kind, [row["song"] for row in rows]), kind
+        assert rows[-1]["song"] == "sus4.tsv" and rows[-1]["seventh"] == ""
 
     def test_no_matching_files_fails_with_one_json_line(self, dataset, tmp_path, capsys):
         (tmp_path / "est").mkdir()
@@ -785,6 +889,18 @@ class TestLabelFilesLoad:
             run(["synth", "--n", 1, "--duration", 2, "--out", tmp_path / "crash" / "a" / "b"])
         assert not (tmp_path / "crash").exists()
 
+    def test_memory_error_exits_one_and_leaves_no_out_it_made(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 259 GiB")
+
+        monkeypatch.setattr(features, "render_synthetic_cqt", too_large)
+        capsys.readouterr()
+        assert run(["synth", "--n", 1, "--duration", 2, "--out", tmp_path / "big" / "a"]) == 1
+        assert _one_json_error(capsys) == {"error": "MemoryError",
+                                           "message": "Unable to allocate 259 GiB"}
+        assert not (tmp_path / "big").exists()
+
     @pytest.mark.parametrize("duration", [2, -1], ids=["valid", "invalid-too"])
     def test_out_that_is_a_file_exits_one_first(self, tmp_path, capsys, duration):
         taken = tmp_path / "taken"
@@ -892,6 +1008,14 @@ class TestCheckAlign:
                     "--ann", tsv]) == 0
         assert capsys.readouterr().out.strip() == "4"
 
+    def test_every_synthesized_song_is_aligned(self, dataset, capsys):
+        """synth renders features that change exactly where the annotation does."""
+        for cqtf in sorted(dataset.glob("*.cqtf")):
+            capsys.readouterr()
+            assert run(["check-align", "--features", cqtf,
+                        "--ann", cqtf.with_suffix(".tsv")]) == 0
+            assert capsys.readouterr().out.strip() == "0", cqtf.name
+
     def test_song_shorter_than_the_window(self, tmp_path, capsys):
         # 3 s is 33 frames, fewer than the default window of 50 lags
         assert run(["synth", "--n", 1, "--duration", 3, "--out", tmp_path]) == 0
@@ -979,3 +1103,13 @@ class TestArgErrors:
         out = subprocess.run([sys.executable, "-m", "chordkit.cli", "--version"],
                              capture_output=True, text=True)
         assert out.returncode == 0
+
+    def test_refused_command_exits_one_from_the_shell(self, tmp_path):
+        """The process exits with the status main returns, not only argparse's."""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-m", "chordkit.cli", "synth", "--n", "0",
+                               "--out", tmp_path / "out"], capture_output=True, text=True, env=env)
+        assert done.returncode == 1 and done.stdout == ""
+        (line,) = done.stderr.splitlines()
+        assert json.loads(line)["error"] == "ValueError"
+        assert not (tmp_path / "out").exists()

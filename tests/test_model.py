@@ -676,6 +676,29 @@ class TestTrain:
                 tracemalloc.stop()
         assert peaks[128] < 1.2 * peaks[8], peaks
 
+    def test_a_patch_is_no_longer_than_the_longest_song(self, monkeypatch):
+        """A patch_seconds past every song trains as the longest song's
+        duration does, and the block buffer holds that song, not the patch."""
+        songs = tiny_dataset(n_songs=4)
+        feat, ann = songs[1]
+        songs[1] = (replace(feat, data=feat.data[:13]), ann)
+        runs = [train(songs[:3], songs[3:],
+                      TrainConfig(epochs=3, batch_size=2, shift_probability=0.5,
+                                  patch_seconds=seconds),
+                      V26, arch="hidden", hidden_units=4, context=2)
+                for seconds in (40 * 0.25, 1e5)]
+        (params, history), (long_params, long_history) = runs
+        assert long_history == history
+        for key, w in params.weights.items():
+            assert np.array_equal(long_params.weights[key], w), key
+
+        monkeypatch.setattr(model_mod, "BLOCK_ROWS", 1)
+        params = init_params("hidden", 8, V26, hidden_units=4, context=2)
+        batches = _patch_batches(np.random.default_rng(0), songs, dataset_frame_ids(songs, V26),
+                                 params, TrainConfig(patch_seconds=1e5, batch_size=4), V26)
+        rows = [len(x.base) for _, blocks in batches for x, _, _ in blocks]
+        assert rows == [40 + 2] * 4  # one patch a block, in a buffer of one song and its padding
+
     @settings(max_examples=100, deadline=None)
     @given(lengths=st.lists(st.integers(0, 300), min_size=1, max_size=12).filter(any),
            n_bins=st.integers(1, 9), dtype=st.sampled_from([np.float32, np.float64]),
